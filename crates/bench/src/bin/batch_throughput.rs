@@ -1,15 +1,15 @@
-//! Cross-request batching win: requests/sec of the bulk
-//! `submit_many` + coalescing-dispatcher path versus the PR-1
-//! per-request `submit` baseline, on a mixed same-size workload with
+//! Cross-request batching win: requests/sec of 64-pair jobs through
+//! `MulService::submit` versus the per-request baseline (one pair per
+//! job), on a mixed same-size workload with
 //! residue verification ON for every response. Results are recorded in
 //! `BENCH_service.json` at the repo root and in EXPERIMENTS.md §S5.
 //!
 //! Run with `cargo run --release -p ft-bench --bin batch_throughput`.
 //! `--quick` runs a reduced matrix and skips the JSON write (CI smoke).
 //!
-//! The container is single-core, so none of the speedup comes from
-//! parallel lanes: the batched path pays the channel lock, enqueue
-//! timestamp, completion allocation, client wake-up, supervision
+//! Both modes run the same worker pool, so none of the speedup comes
+//! from parallelism: the batched path pays the channel lock, enqueue
+//! timestamp, result-table allocation, client wake-up, supervision
 //! (`catch_unwind` + breaker bookkeeping), and plan resolution ONCE per
 //! batch instead of once per request, while per-element residue
 //! verification is preserved. Operand classes are small (0.25–2 kbit,
@@ -27,7 +27,7 @@ use std::time::Instant;
 const CLASSES: [u64; 4] = [256, 512, 1_024, 2_048];
 const SUBMITTERS: usize = 4;
 const WORKERS: usize = 4;
-/// Requests per `submit_many` call in batched mode.
+/// Pairs per submitted job in batched mode.
 const CHUNK: usize = 64;
 
 struct RoundResult {
@@ -40,7 +40,6 @@ struct RoundResult {
 fn config() -> ServiceConfig {
     ServiceConfig {
         workers: WORKERS,
-        queue_capacity: 256,
         // Residue verification ON: the acceptance criterion is a ≥1.3×
         // win with every response still spot-checked.
         verify_residues: true,
@@ -48,7 +47,6 @@ fn config() -> ServiceConfig {
             window_us: 0,
             max_batch: 32,
             queue_capacity: 256,
-            lanes: 0,
         },
         // Fixed thresholds for a stable A/B: the adaptive tuner would
         // make the two runs' kernel assignments drift apart.
@@ -73,56 +71,32 @@ fn run_round(batched: bool, workload: &[(BigInt, BigInt, BigInt)]) -> RoundResul
                     let mine: Vec<usize> = (0..workload.len())
                         .filter(|i| i % SUBMITTERS == t)
                         .collect();
-                    if batched {
-                        // Bulk path: each submitter ships its share in
-                        // CHUNK-sized submit_many calls — the client-side
-                        // half of cross-request batching.
-                        let mut handles = Vec::new();
-                        for chunk in mine.chunks(CHUNK) {
-                            let handle = loop {
-                                let pairs: Vec<(BigInt, BigInt)> = chunk
-                                    .iter()
-                                    .map(|&i| (workload[i].0.clone(), workload[i].1.clone()))
-                                    .collect();
-                                match service.submit_many(pairs) {
-                                    Ok(h) => break h,
-                                    Err(SubmitError::QueueFull { .. }) => {
-                                        std::thread::yield_now();
-                                    }
-                                    Err(SubmitError::ShuttingDown) => {
-                                        unreachable!("service is not shutting down")
-                                    }
+                    // Bulk path: each submitter ships its share in
+                    // CHUNK-pair jobs — the client-side half of
+                    // cross-request batching. Baseline: one pair per job.
+                    let chunk_len = if batched { CHUNK } else { 1 };
+                    let mut handles = Vec::new();
+                    for chunk in mine.chunks(chunk_len) {
+                        let handle = loop {
+                            let pairs: Vec<(BigInt, BigInt)> = chunk
+                                .iter()
+                                .map(|&i| (workload[i].0.clone(), workload[i].1.clone()))
+                                .collect();
+                            match service.submit(pairs, None) {
+                                Ok(h) => break h,
+                                Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
+                                Err(SubmitError::ShuttingDown) => {
+                                    unreachable!("service is not shutting down")
                                 }
-                            };
-                            handles.push((chunk, handle));
-                        }
-                        for (chunk, handle) in handles {
-                            let results = handle.wait();
-                            assert_eq!(results.len(), chunk.len());
-                            for (&i, result) in chunk.iter().zip(results) {
-                                let product = result.expect("request failed");
-                                assert_eq!(product, workload[i].2, "request {i} wrong product");
                             }
-                        }
-                    } else {
-                        let mut handles = Vec::new();
-                        for &i in &mine {
-                            let (a, b, _) = &workload[i];
-                            let handle = loop {
-                                match service.submit(a.clone(), b.clone()) {
-                                    Ok(h) => break h,
-                                    Err(SubmitError::QueueFull { .. }) => {
-                                        std::thread::yield_now();
-                                    }
-                                    Err(SubmitError::ShuttingDown) => {
-                                        unreachable!("service is not shutting down")
-                                    }
-                                }
-                            };
-                            handles.push((i, handle));
-                        }
-                        for (i, handle) in handles {
-                            let product = handle.wait().expect("request failed");
+                        };
+                        handles.push((chunk, handle));
+                    }
+                    for (chunk, handle) in handles {
+                        let results = handle.wait();
+                        assert_eq!(results.len(), chunk.len());
+                        for (&i, result) in chunk.iter().zip(results) {
+                            let product = result.expect("request failed");
                             assert_eq!(product, workload[i].2, "request {i} wrong product");
                         }
                     }
@@ -190,7 +164,7 @@ fn main() {
             batch.batched_requests,
             batch.high_water
         );
-        assert!(batch.batches > 0, "async path never coalesced a batch");
+        assert!(batch.batches > 0, "the dispatcher never coalesced a batch");
         ratios.push(batch.rps / base.rps);
         baseline_best = baseline_best.max(base.rps);
         if batched_best.as_ref().is_none_or(|b| batch.rps > b.rps) {

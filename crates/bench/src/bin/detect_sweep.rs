@@ -68,7 +68,7 @@ fn run_cell(deadline_budget: u64, heartbeat_period: u64, seed: u64) -> ft_servic
     };
     let service = MulService::start(config);
     let (pairs, want) = batch(BATCH, seed ^ 0xd157);
-    let handle = service.submit_many(pairs).expect("submit batch");
+    let handle = service.submit(pairs, None).expect("submit batch");
     for (i, (result, want)) in handle.wait().into_iter().zip(want).enumerate() {
         assert_eq!(
             result.expect("element resolved"),

@@ -212,7 +212,6 @@ fn service_run(requests: usize, dual_per_10k: u32) -> f64 {
     const SUBMITTERS: usize = 4;
     let config = ServiceConfig {
         workers: 4,
-        queue_capacity: 256,
         verify_residues: true,
         verify: VerifyPolicy {
             dual_per_10k,
@@ -234,7 +233,7 @@ fn service_run(requests: usize, dual_per_10k: u32) -> f64 {
                         let id = (t * per_thread + i) as u64;
                         let (a, b) = operands(CLASS_BITS[(id % 3) as usize], id);
                         let handle = loop {
-                            match service.submit(a.clone(), b.clone()) {
+                            match service.submit(vec![(a.clone(), b.clone())], None) {
                                 Ok(h) => break h,
                                 Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
                                 Err(SubmitError::ShuttingDown) => {
@@ -254,7 +253,7 @@ fn service_run(requests: usize, dual_per_10k: u32) -> f64 {
             .collect()
     });
     for handle in handles {
-        handle.wait().expect("request failed");
+        handle.wait_slot(0).expect("request failed");
     }
     let elapsed = started.elapsed().as_secs_f64();
     let metrics = service.shutdown();

@@ -7,8 +7,8 @@
 //! under 5% — the o(1) relative-cost spirit of the paper's
 //! fault-tolerance bounds.
 //!
-//! **End-to-end**: the service_throughput baseline (4 submitter
-//! threads, 4 workers, batch_max 16) served with `verify_residues` off
+//! **End-to-end**: one-pair jobs from 4 submitter threads on 4
+//! workers, served with `verify_residues` off
 //! and on (chaos disabled in both), comparing the mean completion
 //! latency, interleaved best-of-5; on a time-sliced container the
 //! run-to-run noise exceeds the verification cost, so this is a sanity
@@ -48,8 +48,8 @@ fn main() {
     }
     println!();
     println!(
-        "end-to-end mean latency, service_throughput methodology \
-         (4 submitters, 4 workers, batch 16, interleaved best of {END_TO_END_RUNS})"
+        "end-to-end mean latency, one-pair jobs \
+         (4 submitters, 4 workers, interleaved best of {END_TO_END_RUNS})"
     );
     println!(
         "{:<20} {:>9} {:>12} {:>12} {:>10}",
@@ -108,14 +108,12 @@ fn direct_cost(bits: u64, calls: usize) -> (Duration, Duration) {
     (mul_best, verify_best)
 }
 
-/// One service_throughput-style run; returns the mean completion
+/// One end-to-end run of one-pair jobs; returns the mean completion
 /// latency in µs (submit → fulfilled, queue wait included).
 fn service_run(bits: u64, requests: usize, verify: bool) -> u64 {
     const SUBMITTERS: usize = 4;
     let config = ServiceConfig {
         workers: 4,
-        queue_capacity: 256,
-        batch_max: 16,
         verify_residues: verify,
         chaos: None,
         ..ServiceConfig::default()
@@ -131,7 +129,7 @@ fn service_run(bits: u64, requests: usize, verify: bool) -> u64 {
                     for i in 0..per_thread {
                         let (a, b) = operands(bits, (t * per_thread + i) as u64);
                         let handle = loop {
-                            match service.submit(a.clone(), b.clone()) {
+                            match service.submit(vec![(a.clone(), b.clone())], None) {
                                 Ok(h) => break h,
                                 Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
                                 Err(SubmitError::ShuttingDown) => {
@@ -151,7 +149,7 @@ fn service_run(bits: u64, requests: usize, verify: bool) -> u64 {
             .collect()
     });
     for handle in handles {
-        handle.wait().expect("request failed");
+        handle.wait_slot(0).expect("request failed");
     }
     service.shutdown().mean_latency_us()
 }

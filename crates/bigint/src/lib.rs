@@ -44,6 +44,7 @@ mod square;
 pub use bigint::{BigInt, Sign};
 pub use division::DivisionError;
 pub use montgomery::MontgomeryCtx;
+pub use random::splitmix64;
 
 /// Number of bits in one limb.
 pub const LIMB_BITS: u32 = 64;

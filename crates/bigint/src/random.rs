@@ -4,6 +4,17 @@ use crate::bigint::{BigInt, Sign};
 use crate::Limb;
 use rand::{Rng, RngExt};
 
+/// SplitMix64 finalizer: a strong, cheap, deterministic 64-bit mixer. The
+/// workspace's seeded streams (fault injection, shard placement, load
+/// generation) all derive from it.
+#[must_use]
+pub fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl BigInt {
     /// Uniformly random non-negative integer with exactly `bits` significant
     /// bits (top bit set), or zero when `bits == 0`.

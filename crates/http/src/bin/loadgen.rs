@@ -19,6 +19,7 @@
 //! response lands; open loop (`--rate R`, per thread) sends on a fixed
 //! schedule and measures latency including queueing.
 
+use ft_bigint::splitmix64;
 use ft_http::client::Client;
 use ft_http::{HttpConfig, HttpServer};
 use ft_service::json::{obj, Json};
@@ -69,7 +70,7 @@ fn usage() -> ! {
          \x20              [--addr HOST:PORT] [--shards N] [--seed N] [--out FILE] [--quick]\n\
          \x20              [--sweep [--steps RPS:RPS:...]]\n\
          --sweep runs the admission-control experiment: an in-process server\n\
-         with a small async queue and a tight connection cap, stepped through\n\
+         with a small submission queue and a tight connection cap, stepped through\n\
          open-loop total-RPS levels while an over-cap prober measures the 503\n\
          reject path. Results merge into --out under \"admission_sweep\"."
     );
@@ -129,14 +130,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// SplitMix64; the pool and per-thread request streams derive from it.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A deterministic hex literal of roughly `bits` bits.
@@ -295,7 +288,7 @@ fn probe_over_cap(addr: SocketAddr, cap: usize, want_rejects: usize) -> (usize, 
 }
 
 /// Admission-control sweep (`--sweep`): a deliberately small in-process
-/// server — async queue capacity 8, connection cap `threads + 2` —
+/// server — submission queue capacity 8, connection cap `threads + 2` —
 /// stepped through open-loop offered-load levels. Each step reports
 /// latency percentiles of served requests and the 429 shed rate, while
 /// an over-cap prober verifies that connections past the cap get an
@@ -340,7 +333,7 @@ fn run_sweep(args: &Args) {
     let server = HttpServer::start(&http, service).expect("server");
     let addr = server.local_addr();
     println!(
-        "admission sweep: {threads} clients, conn cap {cap}, async queue {QUEUE_CAPACITY}, steps {steps:?} rps",
+        "admission sweep: {threads} clients, conn cap {cap}, submission queue {QUEUE_CAPACITY}, steps {steps:?} rps",
     );
 
     let mut step_docs = Vec::new();

@@ -1,7 +1,5 @@
 //! Cost vectors and the `C = α·L + β·BW + γ·F` run-time model (§2.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-metric critical-path counters.
 ///
 /// Each rank carries one of these; local arithmetic adds to `f`, each sent
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// sender's vector into the receiver's. At the end of a run, the maximum
 /// over ranks is the critical-path cost of the whole computation, per
 /// metric — exactly how the paper counts `F`, `BW`, and `L`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostVector {
     /// Word-level arithmetic operations.
     pub f: u64,
@@ -57,7 +55,7 @@ impl CostVector {
 
 /// Machine cost parameters: `α` latency per message, `β` time per word,
 /// `γ` time per arithmetic operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Latency per message.
     pub alpha: f64,

@@ -5,7 +5,7 @@ use crate::cost::{CostParams, CostVector};
 use crate::message::{MatchKey, Message};
 use crate::trace::TraceEvent;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use ft_bigint::{metrics, BigInt};
+use ft_bigint::{metrics, splitmix64, BigInt};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -133,14 +133,6 @@ impl RandomFaults {
         h = splitmix64(h ^ (u64::from(occurrence) << 32) ^ rank as u64);
         h % 10_000 < u64::from(self.per_10k)
     }
-}
-
-/// SplitMix64 finalizer: a strong deterministic 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// FNV-1a over the label bytes (stable, no external hasher dependency).

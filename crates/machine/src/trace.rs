@@ -2,10 +2,8 @@
 //! structural claims ("communication occurs only within rows", code
 //! processor counts, recovery message flows).
 
-use serde::{Deserialize, Serialize};
-
 /// One traced machine event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A point-to-point message.
     Send {

@@ -20,7 +20,6 @@ use crate::json::{obj, Json};
 use ft_bigint::{BigInt, Sign};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Panic message carried by injected hard faults; the supervisor and the
@@ -86,7 +85,7 @@ impl FaultKind {
 }
 
 /// How an injected soft fault corrupts a product.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CorruptionKind {
     /// Flip one pseudo-random bit of one limb. Deterministically caught by
     /// the residue spot-check (the delta `c · 2^{64i}` with `0 < |c| < 2^64`
@@ -123,7 +122,7 @@ impl CorruptionKind {
 
 /// A JSON-loadable chaos plan. Rates are per 10 000 requests; a request
 /// draws at most one fault per attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed of the deterministic fault stream.
     pub seed: u64,
@@ -317,6 +316,7 @@ impl ChaosConfig {
     /// their defaults. `force` entries are `{"index": N, "kind": "panic"}`.
     pub fn from_json(json: &Json) -> Result<ChaosConfig, ConfigError> {
         let d = ChaosConfig::default();
+        crate::config::check_keys(json, &d.to_json_value(), "chaos")?;
         let get_u64 = |key: &str, default: u64| -> Result<u64, ConfigError> {
             match json.get(key) {
                 None => Ok(default),

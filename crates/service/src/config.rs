@@ -1,15 +1,14 @@
 //! Service configuration, loadable from JSON.
 //!
-//! The derives come from the workspace `serde` (a no-op shim in the
-//! offline container — see `vendor/README.md`), so the JSON round-trip is
-//! implemented directly via [`crate::json`]; the derive keeps the structs
-//! source-compatible with upstream serde for when the real crate returns.
+//! The JSON round-trip is implemented directly via [`crate::json`]. Every
+//! `from_json` rejects keys its section does not know (see
+//! [`check_keys`]), so a config that still sets a removed or misspelt
+//! knob fails instead of silently running on a default.
 
 use crate::chaos::ChaosConfig;
 use crate::json::{obj, Json, JsonError};
 use crate::supervisor::{BreakerPolicy, RetryPolicy};
 use crate::verify::VerifyPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Size thresholds steering kernel auto-selection, in operand bits
 /// (`min(bit_length(a), bit_length(b))`).
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// sequential Toom-Cook carries to multi-megabit sizes on the single-core
 /// CI container — multicore deployments should lower `seq_toom_max_bits`
 /// to wherever their fork-join overhead amortizes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelPolicy {
     /// Requests at or below this size run schoolbook.
     pub schoolbook_max_bits: u64,
@@ -57,25 +56,21 @@ impl Default for KernelPolicy {
     }
 }
 
-/// Knobs for the async submission path: how long the dispatcher waits to
-/// coalesce same-shape requests, and how it executes the merged batch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Knobs for the submission path: how long the dispatcher waits to
+/// coalesce same-shape requests, how many it merges, and how many jobs
+/// may queue.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchingConfig {
-    /// Coalescing window in µs: after the first queued request arrives,
-    /// the dispatcher keeps collecting for at most this long before
-    /// dispatching. `0` disables coalescing (every request dispatches
-    /// alone, still through the async path).
+    /// Coalescing window in µs: after the first queued job arrives, the
+    /// dispatcher keeps collecting for at most this long before
+    /// dispatching. `0` only merges what is already queued.
     pub window_us: u64,
-    /// Most requests merged into one executed batch.
+    /// Most requests the dispatcher collects into one round (a job always
+    /// joins whole), and so the most merged into one executed batch.
     pub max_batch: usize,
-    /// Capacity of the central async submission queue; `submit_async`
-    /// beyond it returns [`crate::SubmitError::QueueFull`].
+    /// Capacity of the submission queue, in jobs; a submission beyond it
+    /// returns [`crate::SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Threads used to execute one batch's elements (chunked, not
-    /// per-element). `0` picks the machine's available parallelism;
-    /// `1` runs the batch sequentially on the dispatcher thread, which
-    /// is the right choice on a single-core host.
-    pub lanes: usize,
 }
 
 impl Default for BatchingConfig {
@@ -84,7 +79,6 @@ impl Default for BatchingConfig {
             window_us: 150,
             max_batch: 32,
             queue_capacity: 1_024,
-            lanes: 0,
         }
     }
 }
@@ -92,7 +86,7 @@ impl Default for BatchingConfig {
 /// Cadence and sensitivity of the adaptive threshold tuner, which
 /// periodically re-derives [`KernelPolicy`] size thresholds from the live
 /// per-(kernel, size-class) latency histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TunerConfig {
     /// Master switch; `false` keeps the static policy forever.
     pub enabled: bool,
@@ -126,7 +120,7 @@ impl Default for TunerConfig {
 /// ordinary kernel ladder. The injection knobs drive deterministic chaos
 /// *inside* the machine (planned hard faults plus one delay fault), where
 /// the heartbeat detector — not an oracle — must find them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributedConfig {
     /// Master switch; `false` keeps every group on the local kernels.
     pub enabled: bool,
@@ -201,6 +195,7 @@ impl DistributedConfig {
     /// keep their defaults.
     pub fn from_json(json: &Json) -> Result<DistributedConfig, ConfigError> {
         let d = DistributedConfig::default();
+        check_keys(json, &d.to_json_value(), "distributed")?;
         let enabled = match json.get("enabled") {
             None => d.enabled,
             Some(v) => v.as_bool().ok_or_else(|| {
@@ -307,11 +302,11 @@ impl BatchingConfig {
     /// keep their defaults.
     pub fn from_json(json: &Json) -> Result<BatchingConfig, ConfigError> {
         let d = BatchingConfig::default();
+        check_keys(json, &d.to_json_value(), "batching")?;
         let cfg = BatchingConfig {
             window_us: field_u64(json, "window_us", d.window_us)?,
             max_batch: field_usize(json, "max_batch", d.max_batch)?,
             queue_capacity: field_usize(json, "queue_capacity", d.queue_capacity)?,
-            lanes: field_usize(json, "lanes", d.lanes)?,
         };
         if cfg.max_batch == 0 {
             return Err(ConfigError::Invalid(
@@ -331,7 +326,6 @@ impl BatchingConfig {
             ("window_us", Json::Num(i128::from(self.window_us))),
             ("max_batch", Json::Num(self.max_batch as i128)),
             ("queue_capacity", Json::Num(self.queue_capacity as i128)),
-            ("lanes", Json::Num(self.lanes as i128)),
         ])
     }
 }
@@ -341,6 +335,7 @@ impl TunerConfig {
     /// their defaults.
     pub fn from_json(json: &Json) -> Result<TunerConfig, ConfigError> {
         let d = TunerConfig::default();
+        check_keys(json, &d.to_json_value(), "tuner")?;
         let enabled = match json.get("enabled") {
             None => d.enabled,
             Some(v) => v.as_bool().ok_or_else(|| {
@@ -377,15 +372,13 @@ impl TunerConfig {
 }
 
 /// Full service configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads, each with its own bounded queue.
+    /// Worker threads executing the dispatcher's groups. They share one
+    /// hand-off channel bounded by this count, so while every worker is
+    /// busy the dispatcher stops draining the submission queue
+    /// (`batching.queue_capacity`).
     pub workers: usize,
-    /// Per-worker queue capacity; submissions beyond it get
-    /// [`crate::SubmitError::QueueFull`].
-    pub queue_capacity: usize,
-    /// Max requests a worker drains per batch.
-    pub batch_max: usize,
     /// Queue-age bound in milliseconds after which deadline-less requests
     /// are shed ([`crate::MulError::Shed`]); `None` disables shedding.
     pub shed_after_ms: Option<u64>,
@@ -407,7 +400,7 @@ pub struct ServiceConfig {
     /// Optional deterministic fault-injection plan (chaos testing);
     /// `None` injects nothing.
     pub chaos: Option<ChaosConfig>,
-    /// Async submission path: coalescing window, batch bound, lanes.
+    /// Submission path: coalescing window, batch bound, queue capacity.
     pub batching: BatchingConfig,
     /// Adaptive threshold tuner driven by the live latency histogram.
     pub tuner: TunerConfig,
@@ -420,8 +413,6 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             workers: 4,
-            queue_capacity: 64,
-            batch_max: 16,
             shed_after_ms: None,
             plan_cache_capacity: 8,
             kernel_policy: KernelPolicy::default(),
@@ -444,7 +435,7 @@ impl Default for ServiceConfig {
 /// [`ServiceConfig`] template; the chaos injector inside that template
 /// also drives shard-level faults (`shard_kill` / `shard_stall`),
 /// decided deterministically per (seed, shard, monitor round).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of service shards behind the router.
     pub shards: usize,
@@ -502,6 +493,11 @@ impl ShardConfig {
     pub fn from_json(text: &str) -> Result<ShardConfig, ConfigError> {
         let json = Json::parse(text).map_err(ConfigError::Parse)?;
         let d = ShardConfig::default();
+        check_keys(
+            &json,
+            &Json::parse(&d.to_json()).expect("topology JSON"),
+            "",
+        )?;
         let service = match json.get("service") {
             None => d.service.clone(),
             Some(v) => ServiceConfig::from_json(&v.dump())?,
@@ -576,6 +572,35 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Reject a section that is not an object, or any key of it that
+/// `template` — the section's serialized default — lacks, naming the key.
+pub(crate) fn check_keys(json: &Json, template: &Json, section: &str) -> Result<(), ConfigError> {
+    let path = |key: &str| {
+        if section.is_empty() {
+            key.to_string()
+        } else {
+            format!("{section}.{key}")
+        }
+    };
+    let (Json::Obj(given), Json::Obj(known)) = (json, template) else {
+        return Err(ConfigError::Invalid(format!(
+            "{} must be a JSON object",
+            if section.is_empty() {
+                "config"
+            } else {
+                section
+            }
+        )));
+    };
+    match given.keys().find(|key| !known.contains_key(*key)) {
+        Some(key) => Err(ConfigError::Invalid(format!(
+            "unknown config key {:?}",
+            path(key)
+        ))),
+        None => Ok(()),
+    }
+}
+
 pub(crate) fn field_u64(json: &Json, key: &str, default: u64) -> Result<u64, ConfigError> {
     match json.get(key) {
         None => Ok(default),
@@ -605,6 +630,7 @@ impl KernelPolicy {
     /// defaults.
     pub fn from_json(json: &Json) -> Result<KernelPolicy, ConfigError> {
         let d = KernelPolicy::default();
+        check_keys(json, &d.to_json_value(), "kernel_policy")?;
         let policy = KernelPolicy {
             schoolbook_max_bits: field_u64(json, "schoolbook_max_bits", d.schoolbook_max_bits)?,
             seq_toom_max_bits: field_u64(json, "seq_toom_max_bits", d.seq_toom_max_bits)?,
@@ -664,11 +690,14 @@ impl ServiceConfig {
     /// ).unwrap();
     /// assert_eq!(cfg.workers, 2);
     /// assert_eq!(cfg.kernel_policy.schoolbook_max_bits, 4000);
-    /// assert_eq!(cfg.batch_max, ServiceConfig::default().batch_max);
+    /// assert_eq!(cfg.batching, ServiceConfig::default().batching);
+    /// // A removed or misspelt knob fails loudly instead of being ignored.
+    /// assert!(ServiceConfig::from_json(r#"{"batch_max": 16}"#).is_err());
     /// ```
     pub fn from_json(text: &str) -> Result<ServiceConfig, ConfigError> {
         let json = Json::parse(text).map_err(ConfigError::Parse)?;
         let d = ServiceConfig::default();
+        check_keys(&json, &Json::parse(&d.to_json()).expect("config JSON"), "")?;
         let shed_after_ms = match json.get("shed_after_ms") {
             None => d.shed_after_ms,
             Some(Json::Null) => None,
@@ -716,8 +745,6 @@ impl ServiceConfig {
         };
         let cfg = ServiceConfig {
             workers: field_usize(&json, "workers", d.workers)?,
-            queue_capacity: field_usize(&json, "queue_capacity", d.queue_capacity)?,
-            batch_max: field_usize(&json, "batch_max", d.batch_max)?,
             shed_after_ms,
             plan_cache_capacity: field_usize(&json, "plan_cache_capacity", d.plan_cache_capacity)?,
             kernel_policy,
@@ -733,14 +760,6 @@ impl ServiceConfig {
         if cfg.workers == 0 {
             return Err(ConfigError::Invalid("workers must be >= 1".to_string()));
         }
-        if cfg.queue_capacity == 0 {
-            return Err(ConfigError::Invalid(
-                "queue_capacity must be >= 1".to_string(),
-            ));
-        }
-        if cfg.batch_max == 0 {
-            return Err(ConfigError::Invalid("batch_max must be >= 1".to_string()));
-        }
         if cfg.plan_cache_capacity == 0 {
             return Err(ConfigError::Invalid(
                 "plan_cache_capacity must be >= 1".to_string(),
@@ -754,8 +773,6 @@ impl ServiceConfig {
     pub fn to_json(&self) -> String {
         obj([
             ("workers", Json::Num(self.workers as i128)),
-            ("queue_capacity", Json::Num(self.queue_capacity as i128)),
-            ("batch_max", Json::Num(self.batch_max as i128)),
             (
                 "shed_after_ms",
                 self.shed_after_ms
@@ -800,7 +817,7 @@ mod tests {
         let cfg = ServiceConfig::from_json(r#"{"workers": 7, "shed_after_ms": 12}"#).unwrap();
         assert_eq!(cfg.workers, 7);
         assert_eq!(cfg.shed_after_ms, Some(12));
-        assert_eq!(cfg.batch_max, ServiceConfig::default().batch_max);
+        assert_eq!(cfg.batching, ServiceConfig::default().batching);
         assert!(cfg.verify_residues);
         assert_eq!(cfg.chaos, None);
     }
@@ -835,7 +852,7 @@ mod tests {
     fn batching_and_tuner_round_trip() {
         let cfg = ServiceConfig::from_json(
             r#"{
-                "batching": {"window_us": 75, "max_batch": 8, "queue_capacity": 32, "lanes": 1},
+                "batching": {"window_us": 75, "max_batch": 8, "queue_capacity": 32},
                 "tuner": {"enabled": false, "interval_ms": 250, "min_samples": 10,
                           "slowdown_pct": 150}
             }"#,
@@ -844,7 +861,6 @@ mod tests {
         assert_eq!(cfg.batching.window_us, 75);
         assert_eq!(cfg.batching.max_batch, 8);
         assert_eq!(cfg.batching.queue_capacity, 32);
-        assert_eq!(cfg.batching.lanes, 1);
         assert!(!cfg.tuner.enabled);
         assert_eq!(cfg.tuner.interval_ms, 250);
         assert_eq!(cfg.tuner.min_samples, 10);
@@ -963,6 +979,75 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    /// Knobs removed with the per-worker queues and per-group lanes: a
+    /// config that still sets one must fail, not silently change meaning.
+    #[test]
+    fn rejects_removed_service_queue_capacity() {
+        assert_eq!(
+            ServiceConfig::from_json(r#"{"queue_capacity": 64}"#),
+            Err(ConfigError::Invalid(
+                "unknown config key \"queue_capacity\"".to_string()
+            ))
+        );
+    }
+
+    #[test]
+    fn rejects_removed_batch_max() {
+        assert_eq!(
+            ServiceConfig::from_json(r#"{"workers": 2, "batch_max": 16}"#),
+            Err(ConfigError::Invalid(
+                "unknown config key \"batch_max\"".to_string()
+            ))
+        );
+    }
+
+    #[test]
+    fn rejects_removed_batching_lanes() {
+        assert_eq!(
+            ServiceConfig::from_json(r#"{"batching": {"lanes": 0}}"#),
+            Err(ConfigError::Invalid(
+                "unknown config key \"batching.lanes\"".to_string()
+            ))
+        );
+        // The same holds inside a topology's service template.
+        assert!(matches!(
+            ShardConfig::from_json(r#"{"service": {"batching": {"lanes": 1}}}"#),
+            Err(ConfigError::Invalid(msg)) if msg.contains("batching.lanes")
+        ));
+    }
+
+    #[test]
+    fn rejects_unknown_keys_in_every_section() {
+        for (bad, key) in [
+            (r#"{"wrokers": 2}"#, "wrokers"),
+            (
+                r#"{"kernel_policy": {"ntt_bits": 1}}"#,
+                "kernel_policy.ntt_bits",
+            ),
+            (r#"{"tuner": {"interval": 5}}"#, "tuner.interval"),
+            (r#"{"distributed": {"faults": 1}}"#, "distributed.faults"),
+            (r#"{"verify": {"dual": 1}}"#, "verify.dual"),
+            (r#"{"retry": {"retries": 1}}"#, "retry.retries"),
+            (r#"{"breaker": {"open": 1}}"#, "breaker.open"),
+            (r#"{"chaos": {"sed": 1}}"#, "chaos.sed"),
+        ] {
+            match ServiceConfig::from_json(bad) {
+                Err(ConfigError::Invalid(msg)) => {
+                    assert_eq!(msg, format!("unknown config key {key:?}"), "{bad}");
+                }
+                other => panic!("{bad} must be rejected, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            ShardConfig::from_json(r#"{"shard": 2}"#),
+            Err(ConfigError::Invalid(_))
+        ));
+        assert!(matches!(
+            ServiceConfig::from_json(r#"{"batching": 5}"#),
+            Err(ConfigError::Invalid(_))
+        ));
     }
 
     #[test]

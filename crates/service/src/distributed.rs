@@ -22,7 +22,7 @@
 
 use crate::config::DistributedConfig;
 use crate::metrics::Metrics;
-use ft_bigint::BigInt;
+use ft_bigint::{splitmix64, BigInt};
 use ft_machine::{DetectorConfig, FaultPlan};
 use ft_toom_core::ft::poly::{run_poly_ft_with, PolyFtConfig, PolyRunOptions};
 use ft_toom_core::parallel::ParallelConfig;
@@ -167,15 +167,6 @@ impl DistributedBackend {
         );
         outcome.product
     }
-}
-
-/// SplitMix64 — the same cheap deterministic mixer the machine layer's
-/// random fault stream uses.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Minimal JSON reader/writer for config files and metrics snapshots.
 //!
-//! The vendored `serde` derive is a no-op (offline container, see
-//! `vendor/README.md`), so the service hand-rolls the small JSON subset it
-//! needs: objects, arrays, strings, integers, booleans, and null. Floats
+//! The workspace carries no serialization crate, so the service
+//! hand-rolls the small JSON subset it needs: objects, arrays, strings,
+//! integers, booleans, and null. Floats
 //! are accepted on parse but truncated to integers — none of our schemas
 //! use them.
 

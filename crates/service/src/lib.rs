@@ -1,8 +1,9 @@
 //! ft-service: a batching multiplication service layer.
 //!
-//! Accepts [`MulRequest`]s on bounded per-worker queues, batches them,
-//! auto-selects a kernel per request size, and returns results through
-//! completion handles. Kernel execution is supervised: panics are caught,
+//! Accepts jobs of operand pairs on one bounded submission queue, groups
+//! same-shape requests into batches, runs them on a worker pool with a
+//! kernel auto-selected per size class, and returns results through one
+//! result table per job. Kernel execution is supervised: panics are caught,
 //! products are residue-verified, failures are retried with backoff and
 //! degraded across kernels by per-kernel circuit breakers, and a
 //! deterministic chaos injector can exercise all of it. See `DESIGN.md`
@@ -21,7 +22,6 @@ pub mod router;
 pub mod service;
 pub mod shard;
 pub mod supervisor;
-pub mod transport;
 pub(crate) mod tuner;
 pub mod verify;
 
@@ -35,7 +35,6 @@ pub use kernel::Kernel;
 pub use metrics::{DistributedSnapshot, MetricsSnapshot, RouterSnapshot, VerifySnapshot};
 pub use router::{Router, ShardState};
 pub use service::{BatchHandle, BatchResults, MulService, ResponseHandle};
-pub use shard::Shard;
+pub use shard::{Shard, ShardId};
 pub use supervisor::{BreakerPolicy, RetryPolicy};
-pub use transport::{ChannelTransport, Command, MachineTransport, Reply, ShardId, Transport};
 pub use verify::VerifyPolicy;

@@ -16,7 +16,6 @@
 use crate::chaos::FaultKind;
 use crate::json::{obj, Json};
 use crate::kernel::Kernel;
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -354,7 +353,7 @@ impl Metrics {
 
 /// One non-empty `(kernel, operand size class)` cell of the served-latency
 /// breakdown; the adaptive tuner steers thresholds from these.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelClassRow {
     /// Kernel name ([`Kernel::name`]).
     pub kernel: &'static str,
@@ -378,7 +377,7 @@ impl KernelClassRow {
 /// A point-in-time copy of the service's counters. `Default` is the
 /// all-zero snapshot (kernel and fault-kind labels empty) — useful as a
 /// fixture for exporters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Requests completed successfully. Always equals the sum of
     /// `latency_buckets` (derived from the histogram, see the module docs
@@ -405,11 +404,11 @@ pub struct MetricsSnapshot {
     pub latency_total_us: u64,
     /// Non-empty per-(kernel, size-class) latency cells.
     pub kernel_classes: Vec<KernelClassRow>,
-    /// Coalesced batches dispatched by the async path (groups of ≥ 2).
+    /// Groups the worker pool ran, singletons included.
     pub batches: u64,
-    /// Requests that rode in those coalesced batches.
+    /// Requests that rode in those groups.
     pub batched_requests: u64,
-    /// Largest coalesced batch dispatched.
+    /// Largest group run.
     pub batch_size_high_water: usize,
     /// Whole-batch attempts that failed and fell back to per-element
     /// supervised execution.
@@ -460,7 +459,7 @@ pub struct MetricsSnapshot {
 /// semantics: `residue` is the `O(n)` spot-check on every product,
 /// `dual` the sampled structurally-distinct recomputation, `recompute`
 /// the full clean re-execution that localizes a dual-check disagreement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifySnapshot {
     /// Residue spot-checks performed (mirrors the top-level counter).
     pub residue_checks: u64,
@@ -488,7 +487,7 @@ pub struct VerifySnapshot {
 
 /// Counters of the distributed backend: runs on the simulated coded
 /// machine, detector-driven recoveries, and fallbacks past redundancy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DistributedSnapshot {
     /// Multiplications completed on the simulated coded machine.
     pub runs: u64,
@@ -514,7 +513,7 @@ pub struct DistributedSnapshot {
 /// Topology counters of the sharded service router: shard liveness as
 /// seen by the service-level heartbeat detector, plus the failover and
 /// work-stealing traffic it generated. All-zero when unsharded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterSnapshot {
     /// Shards in the topology.
     pub shards: u64,

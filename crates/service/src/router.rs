@@ -39,24 +39,15 @@
 use crate::config::{ServiceConfig, ShardConfig};
 use crate::error::{MulError, SubmitError};
 use crate::metrics::{size_class, MetricsSnapshot, RouterSnapshot};
-use crate::service::{batch_pair, completion_pair, BatchHandle, Done, ResponseHandle};
-use crate::shard::Shard;
-use crate::transport::{ChannelTransport, Command, Reply, ShardId, Transport};
-use ft_bigint::BigInt;
+use crate::service::{result_table, BatchHandle, ResponseHandle, SlotGuard};
+use crate::shard::{Shard, ShardId};
+use ft_bigint::{splitmix64, BigInt};
 use ft_machine::detect::verdict_from;
 use ft_machine::{DetectorConfig, RankStatus};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// SplitMix64: the same cheap mixer the fault-injection streams use.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The placement key of a request: its selected kernel and operand size
 /// class, mixed into one word. Same-shape requests share a key, so they
@@ -103,7 +94,7 @@ struct MonitorClock {
 }
 
 struct RouterInner {
-    transport: Arc<dyn Transport>,
+    shards: Vec<Shard>,
     cfg: ShardConfig,
     states: parking_lot::RwLock<Vec<ShardState>>,
     shard_deaths: AtomicU64,
@@ -117,7 +108,7 @@ struct RouterInner {
 
 impl RouterInner {
     fn shard_count(&self) -> usize {
-        self.states.read().len()
+        self.shards.len()
     }
 
     fn live_shards(&self) -> Vec<ShardId> {
@@ -128,10 +119,7 @@ impl RouterInner {
     }
 
     fn depth(&self, shard: ShardId) -> usize {
-        match self.transport.send(shard, Command::QueueDepth) {
-            Reply::Depth(depth) => depth,
-            _ => usize::MAX,
-        }
+        self.shards[shard].queue_depth()
     }
 
     /// Routable shards for `key`, best owner first, optionally excluding
@@ -169,7 +157,7 @@ fn route(
     a: BigInt,
     b: BigInt,
     deadline: Option<Duration>,
-    done: Done,
+    done: SlotGuard,
     attempts: u32,
     exclude: Option<ShardId>,
 ) -> Result<(), SubmitError> {
@@ -192,18 +180,10 @@ fn route(
     }
     let mut queue_full: Option<SubmitError> = None;
     for shard in candidates {
-        let sent = inner.transport.send(
-            shard,
-            Command::Mul {
-                a: a.clone(),
-                b: b.clone(),
-                deadline,
-            },
-        );
-        match sent {
-            Reply::Pending(handle) => {
+        match inner.shards[shard].submit(vec![(a.clone(), b.clone())], deadline) {
+            Ok(handle) => {
                 let inner = inner.clone();
-                handle.on_ready(move |result| match result {
+                handle.into_single().on_ready(move |result| match result {
                     // The shard fail-stopped under this request before
                     // starting it: re-route to a survivor.
                     Err(MulError::ServiceStopped)
@@ -220,7 +200,7 @@ fn route(
                 });
                 return Ok(());
             }
-            Reply::Refused(error) => {
+            Err(error) => {
                 // Keep probing the remaining candidates; remember the
                 // strongest signal for the caller (QueueFull carries the
                 // backpressure semantics a front door turns into 429).
@@ -228,7 +208,6 @@ fn route(
                     queue_full = Some(error);
                 }
             }
-            _ => unreachable!("Mul replies are Pending or Refused"),
         }
     }
     Err(queue_full.unwrap_or(SubmitError::ShuttingDown))
@@ -261,14 +240,13 @@ pub struct Router {
 }
 
 impl Router {
-    /// Start `cfg.shards` fresh shards behind a router (the in-process
-    /// [`ChannelTransport`]).
+    /// Start `cfg.shards` fresh shards behind a router.
     #[must_use]
     pub fn start(cfg: ShardConfig) -> Router {
         let shards = (0..cfg.shards.max(1))
             .map(|id| Shard::start(id, cfg.service.clone(), cfg.heartbeat_ms))
             .collect();
-        Router::with_transport(Arc::new(ChannelTransport::new(shards)), cfg)
+        Router::with_shards(shards, cfg)
     }
 
     /// Wrap one already-running service as a single-shard topology — the
@@ -283,16 +261,13 @@ impl Router {
             ..ShardConfig::default()
         };
         let shard = Shard::from_service(0, service, cfg.heartbeat_ms);
-        Router::with_transport(Arc::new(ChannelTransport::new(vec![shard])), cfg)
+        Router::with_shards(vec![shard], cfg)
     }
 
-    /// Run the router over any [`Transport`] (the seam the simulated
-    /// machine plugs into via [`crate::transport::MachineTransport`]).
-    #[must_use]
-    pub fn with_transport(transport: Arc<dyn Transport>, cfg: ShardConfig) -> Router {
-        let n = transport.shards();
+    fn with_shards(shards: Vec<Shard>, cfg: ShardConfig) -> Router {
+        let n = shards.len();
         let inner = Arc::new(RouterInner {
-            transport,
+            shards,
             cfg,
             states: parking_lot::RwLock::new(vec![ShardState::Live; n]),
             shard_deaths: AtomicU64::new(0),
@@ -322,7 +297,8 @@ impl Router {
 
     /// Submit `a × b` with no deadline.
     pub fn submit(&self, a: BigInt, b: BigInt) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, None)
+        self.submit_many_inner(vec![(a, b)], None)
+            .map(BatchHandle::into_single)
     }
 
     /// Submit `a × b` under a deadline.
@@ -332,28 +308,15 @@ impl Router {
         b: BigInt,
         deadline: Duration,
     ) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, Some(deadline))
-    }
-
-    fn submit_inner(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Option<Duration>,
-    ) -> Result<ResponseHandle, SubmitError> {
-        if self.inner.shutting_down.load(Ordering::Acquire) {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let (handle, guard) = completion_pair();
-        route(&self.inner, a, b, deadline, Done::Single(guard), 0, None)?;
-        Ok(handle)
+        self.submit_many_inner(vec![(a, b)], Some(deadline))
+            .map(BatchHandle::into_single)
     }
 
     /// Bulk submission: each pair routes (and fails over) independently,
     /// so one dead shard never poisons a whole batch; pairs that land on
     /// the same shard still coalesce in its dispatcher. A terminal
     /// refusal for any pair refuses the whole submission (matching
-    /// [`crate::MulService::submit_many`]'s all-or-nothing admission).
+    /// [`crate::MulService::submit`]'s all-or-nothing admission).
     pub fn submit_many(&self, pairs: Vec<(BigInt, BigInt)>) -> Result<BatchHandle, SubmitError> {
         self.submit_many_inner(pairs, None)
     }
@@ -375,7 +338,7 @@ impl Router {
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
-        let (handle, slots) = batch_pair(pairs.len());
+        let (handle, slots) = result_table(pairs.len());
         let mut error = None;
         for ((a, b), slot) in pairs.into_iter().zip(slots) {
             if error.is_some() {
@@ -383,7 +346,7 @@ impl Router {
                 // (drop resolves it) instead of enqueuing more work.
                 continue;
             }
-            if let Err(e) = route(&self.inner, a, b, deadline, Done::Slot(slot), 0, None) {
+            if let Err(e) = route(&self.inner, a, b, deadline, slot, 0, None) {
                 error = Some(e);
             }
         }
@@ -398,10 +361,8 @@ impl Router {
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut merged = MetricsSnapshot::default();
-        for shard in 0..self.inner.shard_count() {
-            if let Reply::Metrics(snap) = self.inner.transport.send(shard, Command::Metrics) {
-                merged.merge(&snap);
-            }
+        for shard in &self.inner.shards {
+            merged.merge(&shard.metrics());
         }
         merged.router = self.router_snapshot();
         merged
@@ -471,12 +432,12 @@ impl Router {
     /// Fail-stop one shard (testing / operational drain). Death is still
     /// *detected* by the heartbeat monitor, not assumed from this call.
     pub fn kill_shard(&self, shard: ShardId) {
-        let _ = self.inner.transport.send(shard, Command::Kill);
+        self.inner.shards[shard].kill();
     }
 
     /// Stall one shard's heartbeats for `rounds` monitor rounds.
     pub fn stall_shard(&self, shard: ShardId, rounds: u64) {
-        let _ = self.inner.transport.send(shard, Command::Stall { rounds });
+        self.inner.shards[shard].stall(rounds);
     }
 
     /// The rendezvous owner a fresh `(a, b)` request would be placed on,
@@ -494,10 +455,8 @@ impl Router {
         self.inner.shutting_down.store(true, Ordering::Release);
         self.stop_monitor();
         let mut merged = MetricsSnapshot::default();
-        for shard in 0..self.inner.shard_count() {
-            if let Reply::Metrics(snap) = self.inner.transport.send(shard, Command::Shutdown) {
-                merged.merge(&snap);
-            }
+        for shard in &self.inner.shards {
+            merged.merge(&shard.shutdown());
         }
         merged.router = self.router_snapshot();
         merged
@@ -516,8 +475,8 @@ impl Drop for Router {
     fn drop(&mut self) {
         self.inner.shutting_down.store(true, Ordering::Release);
         self.stop_monitor();
-        for shard in 0..self.inner.shard_count() {
-            let _ = self.inner.transport.send(shard, Command::Shutdown);
+        for shard in &self.inner.shards {
+            let _ = shard.shutdown();
         }
     }
 }
@@ -561,16 +520,9 @@ fn monitor_loop(inner: &Arc<RouterInner>) {
         if let Some(chaos) = &inner.cfg.service.chaos {
             for shard in 0..n {
                 match chaos.decide_shard(shard, round) {
-                    Some(crate::FaultKind::ShardKill) => {
-                        let _ = inner.transport.send(shard, Command::Kill);
-                    }
+                    Some(crate::FaultKind::ShardKill) => inner.shards[shard].kill(),
                     Some(crate::FaultKind::ShardStall) => {
-                        let _ = inner.transport.send(
-                            shard,
-                            Command::Stall {
-                                rounds: chaos.stall_rounds,
-                            },
-                        );
+                        inner.shards[shard].stall(chaos.stall_rounds);
                     }
                     _ => {}
                 }
@@ -581,11 +533,10 @@ fn monitor_loop(inner: &Arc<RouterInner>) {
         // same hb_total − hb_live shape the machine-level detector sees.
         let mut rows = Vec::with_capacity(n);
         for shard in 0..n {
-            if let Reply::Beats(beats) = inner.transport.send(shard, Command::Beats) {
-                if beats > last_beats[shard] || round == 1 {
-                    last_beats[shard] = beats;
-                    last_advance[shard] = round;
-                }
+            let beats = inner.shards[shard].beats();
+            if beats > last_beats[shard] || round == 1 {
+                last_beats[shard] = beats;
+                last_advance[shard] = round;
             }
             let lag = round - last_advance[shard];
             rows.push(RankStatus {

@@ -1,32 +1,34 @@
-//! The multiplication service: sharded bounded queues, batching workers,
-//! per-request completion handles, and an event-driven async path.
+//! The multiplication service: one bounded submission queue, a coalescing
+//! dispatcher, a worker pool, and one result table per submission.
 //!
-//! Architecture: `submit` round-robins requests across `workers` bounded
-//! crossbeam queues (one per worker, with one failover probe before
-//! reporting backpressure). Each worker drains its queue in batches of up
-//! to `batch_max`, applies the robustness checks (deadline, shedding),
-//! auto-selects a kernel per request, and publishes the product through
-//! the request's completion handle.
+//! Architecture: [`MulService::submit`] enqueues a job — one or more
+//! operand pairs plus an optional deadline — as ONE message on the bounded
+//! submission queue (`batching.queue_capacity` messages; beyond it,
+//! [`SubmitError::QueueFull`]). A single request is a job of one pair.
+//! The dispatcher (see [`crate::dispatcher`]) is the queue's only
+//! consumer: it collects a round, groups it by `(kernel, operand size
+//! class)`, and hands every group to the `workers` threads over one shared
+//! channel bounded by `workers`, so while every worker is busy the
+//! dispatcher stops draining and the submission queue fills. A worker
+//! gates the group (kill, deadline, shed) when it starts it, runs it
+//! through the supervisor's batch entry, and publishes each element into
+//! its submission's result table — read through a [`BatchHandle`], or a
+//! [`ResponseHandle`] for a one-pair table.
 //!
-//! `submit_async` instead enqueues on one central queue consumed by the
-//! coalescing dispatcher (see [`crate::dispatcher`]), which groups
-//! same-shape requests into one batch kernel invocation; `submit_many`
-//! ships a whole chunk of requests as one queue message resolved
-//! through one shared [`BatchHandle`], amortizing the submit- and
-//! wait-side costs across the chunk as well. All paths read
-//! the *live* kernel policy, which the adaptive tuner
-//! (see [`crate::tuner`]) re-derives from the latency histogram at
-//! runtime. Shutdown drops the senders; workers and the dispatcher drain
-//! what was accepted, then exit.
+//! Carrying a job unexploded is the submit-side half of cross-request
+//! batching: one channel lock, one timestamp, one dispatcher wake-up and
+//! one result table for `n` requests. Execution reads the *live* kernel
+//! policy, which the adaptive tuner (see [`crate::tuner`]) re-derives
+//! from the latency histogram at runtime. Shutdown drops the sender; the
+//! dispatcher and the workers drain what was accepted, then exit.
 
 use crate::config::ServiceConfig;
 use crate::distributed::DistributedBackend;
 use crate::error::{MulError, SubmitError};
-use crate::kernel::Kernel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan_cache::PlanCache;
 use crate::supervisor::Supervisor;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Sender, TrySendError};
 use ft_bigint::BigInt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,158 +37,56 @@ use std::time::{Duration, Instant};
 
 type Callback = Box<dyn FnOnce(Result<BigInt, MulError>) + Send>;
 
-#[derive(Default)]
-struct CompletionState {
-    result: Option<Result<BigInt, MulError>>,
-    callback: Option<Callback>,
-    done: bool,
-}
-
-/// One-shot result slot shared between a worker and a waiting client,
-/// resolvable either by blocking/polling or by a registered callback.
-#[derive(Default)]
-struct Completion {
-    state: Mutex<CompletionState>,
-    ready: Condvar,
-}
-
-impl Completion {
-    fn lock(&self) -> std::sync::MutexGuard<'_, CompletionState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn fill(&self, result: Result<BigInt, MulError>) {
-        if self.store(result) {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Publish `result` under the lock *without* waking a blocked waiter;
-    /// returns whether a notify is still owed. A registered callback runs
-    /// immediately (nothing sleeps on a callback completion).
-    fn store(&self, result: Result<BigInt, MulError>) -> bool {
-        let mut state = self.lock();
-        if state.done {
-            return false;
-        }
-        state.done = true;
-        if let Some(callback) = state.callback.take() {
-            drop(state);
-            // A panicking callback must not take down the service thread
-            // that happened to resolve this request.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| callback(result)));
-            false
-        } else {
-            state.result = Some(result);
-            true
-        }
-    }
-}
-
-/// A deferred wake-up for one staged completion (see
-/// [`CompletionGuard::stage`]). Dropping it delivers the notify, so a
-/// staged result can never strand its waiter.
-pub(crate) struct CompletionWaker {
-    completion: Arc<Completion>,
-}
-
-impl Drop for CompletionWaker {
-    fn drop(&mut self) {
-        self.completion.ready.notify_all();
-    }
-}
-
-/// Fills `ServiceStopped` on drop unless a real result was published
-/// first, so `ResponseHandle::wait` can never hang on a lost request
-/// (worker panic, service drop mid-queue).
-pub(crate) struct CompletionGuard {
-    completion: Arc<Completion>,
-    fulfilled: bool,
-}
-
-impl CompletionGuard {
-    pub(crate) fn fulfill(mut self, result: Result<BigInt, MulError>) {
-        self.completion.fill(result);
-        self.fulfilled = true;
-    }
-
-    /// Publish the result but defer the waiter's wake-up to the returned
-    /// [`CompletionWaker`] (`None` when no notify is owed, e.g. a callback
-    /// completion). The batch dispatcher stages a whole round of results
-    /// first and wakes afterwards: each notify of a sleeping client is a
-    /// context switch that preempts the publishing thread, so waking
-    /// mid-publication turns a coalesced round back into per-request
-    /// ping-pong. A woken client instead finds every companion result
-    /// already readable and drains them without sleeping again.
-    pub(crate) fn stage(mut self, result: Result<BigInt, MulError>) -> Option<CompletionWaker> {
-        let owed = self.completion.store(result);
-        self.fulfilled = true;
-        owed.then(|| CompletionWaker {
-            completion: self.completion.clone(),
-        })
-    }
-}
-
-impl Drop for CompletionGuard {
-    fn drop(&mut self) {
-        if !self.fulfilled {
-            self.completion.fill(Err(MulError::ServiceStopped));
-        }
-    }
-}
-
-struct BatchState {
+struct TableState {
     results: Vec<Option<Result<BigInt, MulError>>>,
     remaining: usize,
     /// Threads currently blocked in a per-slot wait
     /// ([`BatchHandle::wait_slot`] or the streaming iterator). While this
-    /// is zero — the common, whole-batch case — slot arrivals stay
-    /// silent and the single batch-level notify fires when the last slot
-    /// lands.
+    /// is zero — the common, whole-table case — slot arrivals stay silent
+    /// and the single table-level notify fires when the last slot lands.
     slot_waiters: usize,
+    /// Registered by [`ResponseHandle::on_ready`] on a one-slot table:
+    /// receives the result in place of storing it.
+    on_ready: Option<Callback>,
 }
 
-/// Shared result table for one bulk submission: every element fills its
-/// own slot; the waiter is woken once, when the last slot lands. This is
-/// the wait-side half of the cross-request batching story — `n` requests
+/// Shared result table for one submission: every element fills its own
+/// slot; the waiter is woken once, when the last slot lands. This is the
+/// wait-side half of the cross-request batching story — `n` requests
 /// share one allocation, one condvar sleep, and one wake instead of `n`
 /// of each.
-struct BatchCompletion {
-    state: Mutex<BatchState>,
+struct ResultTable {
+    state: Mutex<TableState>,
     ready: Condvar,
 }
 
-impl BatchCompletion {
-    fn new(len: usize) -> BatchCompletion {
-        BatchCompletion {
-            state: Mutex::new(BatchState {
-                results: (0..len).map(|_| None).collect(),
-                remaining: len,
-                slot_waiters: 0,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BatchState> {
+impl ResultTable {
+    fn lock(&self) -> std::sync::MutexGuard<'_, TableState> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Fill one slot; returns whether that was the last outstanding slot
-    /// (i.e. the single batch-level notify is now owed). Wakes per-slot
-    /// waiters immediately even when other slots are still outstanding,
-    /// so [`BatchHandle::wait_slot`] resolves as soon as *its* slot
-    /// lands — early elements stream out before the batch completes.
+    /// of a callback-less table (i.e. the single table-level notify is now
+    /// owed). Wakes per-slot waiters immediately even when other slots are
+    /// still outstanding, so [`BatchHandle::wait_slot`] resolves as soon
+    /// as *its* slot lands — early elements stream out before the table
+    /// completes. A registered callback runs right here instead (nothing
+    /// sleeps on a callback table).
     fn store(&self, slot: usize, result: Result<BigInt, MulError>) -> bool {
         let mut state = self.lock();
-        if state.results[slot].is_none() {
-            state.results[slot] = Some(result);
-            state.remaining -= 1;
+        state.remaining -= 1;
+        if state.remaining == 0 {
+            if let Some(callback) = state.on_ready.take() {
+                drop(state);
+                // A panicking callback must not take down the service
+                // thread that happened to resolve this request.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| callback(result)));
+                return false;
+            }
         }
+        state.results[slot] = Some(result);
         let last = state.remaining == 0;
         if !last && state.slot_waiters > 0 {
             drop(state);
@@ -194,111 +94,110 @@ impl BatchCompletion {
         }
         last
     }
-}
 
-/// Deferred wake-up for a fully-filled batch (see [`CompletionWaker`]).
-pub(crate) struct BatchWaker {
-    completion: Arc<BatchCompletion>,
-}
-
-impl Drop for BatchWaker {
-    fn drop(&mut self) {
-        self.completion.ready.notify_all();
+    /// Block until `slot` holds a result.
+    fn wait_for_slot<'a>(
+        &'a self,
+        mut state: std::sync::MutexGuard<'a, TableState>,
+        slot: usize,
+    ) -> std::sync::MutexGuard<'a, TableState> {
+        while state.results[slot].is_none() {
+            state.slot_waiters += 1;
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state.slot_waiters -= 1;
+        }
+        state
     }
 }
 
-/// One element's write capability into a [`BatchCompletion`]. Mirrors
-/// [`CompletionGuard`]: dropping it unfulfilled resolves the slot as
-/// `ServiceStopped`, so [`BatchHandle::wait`] can never hang on a lost
-/// request.
-pub(crate) struct BatchSlotGuard {
-    completion: Arc<BatchCompletion>,
+/// A fresh result table of `len` slots: the client's handle plus one
+/// write capability per slot.
+pub(crate) fn result_table(len: usize) -> (BatchHandle, Vec<SlotGuard>) {
+    let table = Arc::new(ResultTable {
+        state: Mutex::new(TableState {
+            results: (0..len).map(|_| None).collect(),
+            remaining: len,
+            slot_waiters: 0,
+            on_ready: None,
+        }),
+        ready: Condvar::new(),
+    });
+    let slots = (0..len)
+        .map(|slot| SlotGuard {
+            table: table.clone(),
+            slot,
+            fulfilled: false,
+        })
+        .collect();
+    (BatchHandle { table }, slots)
+}
+
+/// A deferred wake-up for a fully-filled table (see [`SlotGuard::stage`]).
+/// Dropping it delivers the notify, so a staged result can never strand
+/// its waiter.
+pub(crate) struct Waker {
+    table: Arc<ResultTable>,
+}
+
+impl Drop for Waker {
+    fn drop(&mut self) {
+        self.table.ready.notify_all();
+    }
+}
+
+/// One element's write capability into a result table. Dropping it
+/// unfulfilled resolves the slot as `ServiceStopped`, so no handle can
+/// ever hang on a lost request (worker death, refused submission,
+/// service drop mid-queue).
+pub(crate) struct SlotGuard {
+    table: Arc<ResultTable>,
     slot: usize,
     fulfilled: bool,
 }
 
-impl BatchSlotGuard {
-    fn fulfill(mut self, result: Result<BigInt, MulError>) {
-        if self.completion.store(self.slot, result) {
-            self.completion.ready.notify_all();
-        }
-        self.fulfilled = true;
+impl SlotGuard {
+    pub(crate) fn fulfill(self, result: Result<BigInt, MulError>) {
+        drop(self.stage(result));
     }
 
-    fn stage(mut self, result: Result<BigInt, MulError>) -> Option<BatchWaker> {
-        let last = self.completion.store(self.slot, result);
+    /// Publish the result but defer the waiter's wake-up to the returned
+    /// [`Waker`] (`None` when no notify is owed). A worker stages a whole
+    /// group of results first and wakes afterwards: each notify of a
+    /// sleeping client is a context switch that preempts the publishing
+    /// thread, so waking mid-publication turns a coalesced group back into
+    /// per-request ping-pong. A woken client instead finds every companion
+    /// result already readable and drains them without sleeping again.
+    pub(crate) fn stage(mut self, result: Result<BigInt, MulError>) -> Option<Waker> {
         self.fulfilled = true;
-        last.then(|| BatchWaker {
-            completion: self.completion.clone(),
+        self.table.store(self.slot, result).then(|| Waker {
+            table: self.table.clone(),
         })
     }
 }
 
-impl Drop for BatchSlotGuard {
+impl Drop for SlotGuard {
     fn drop(&mut self) {
-        if !self.fulfilled {
-            let mut state = self.completion.lock();
-            if state.results[self.slot].is_none() {
-                state.results[self.slot] = Some(Err(MulError::ServiceStopped));
-                state.remaining -= 1;
-                if state.remaining == 0 || state.slot_waiters > 0 {
-                    drop(state);
-                    self.completion.ready.notify_all();
-                }
-            }
+        if !self.fulfilled && self.table.store(self.slot, Err(MulError::ServiceStopped)) {
+            self.table.ready.notify_all();
         }
     }
 }
 
-/// How one request publishes its result: through its own
-/// [`Completion`] (per-request submits) or through one slot of a shared
-/// [`BatchCompletion`] (bulk submits).
-pub(crate) enum Done {
-    Single(CompletionGuard),
-    Slot(BatchSlotGuard),
-}
-
-/// A deferred notify from [`Done::stage`] — either kind wakes when the
-/// held waker drops.
-pub(crate) enum DoneWaker {
-    Single { _waker: CompletionWaker },
-    Batch { _waker: BatchWaker },
-}
-
-impl Done {
-    pub(crate) fn fulfill(self, result: Result<BigInt, MulError>) {
-        match self {
-            Done::Single(guard) => guard.fulfill(result),
-            Done::Slot(guard) => guard.fulfill(result),
-        }
-    }
-
-    /// Publish without waking; see [`CompletionGuard::stage`]. A batch
-    /// slot defers its (single, batch-level) notify the same way.
-    pub(crate) fn stage(self, result: Result<BigInt, MulError>) -> Option<DoneWaker> {
-        match self {
-            Done::Single(guard) => guard
-                .stage(result)
-                .map(|waker| DoneWaker::Single { _waker: waker }),
-            Done::Slot(guard) => guard
-                .stage(result)
-                .map(|waker| DoneWaker::Batch { _waker: waker }),
-        }
-    }
-}
-
-/// Client-side handle to one accepted bulk submission
-/// ([`MulService::submit_many`]): resolves to one result per submitted
-/// pair, in submission order.
+/// Client-side handle to one accepted submission
+/// ([`MulService::submit`]): resolves to one result per submitted pair,
+/// in submission order.
 pub struct BatchHandle {
-    completion: Arc<BatchCompletion>,
+    table: Arc<ResultTable>,
 }
 
 impl BatchHandle {
     /// How many pairs this submission carries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.completion.lock().results.len()
+        self.table.lock().results.len()
     }
 
     /// Whether the submission was empty.
@@ -310,10 +209,10 @@ impl BatchHandle {
     /// Block until every element resolves; results are in submission
     /// order.
     pub fn wait(self) -> Vec<Result<BigInt, MulError>> {
-        let mut state = self.completion.lock();
+        let mut state = self.table.lock();
         while state.remaining > 0 {
             state = self
-                .completion
+                .table
                 .ready
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -327,7 +226,7 @@ impl BatchHandle {
 
     /// Non-blocking poll; `Err(self)` while any element is pending.
     pub fn try_wait(self) -> Result<Vec<Result<BigInt, MulError>>, BatchHandle> {
-        let mut state = self.completion.lock();
+        let mut state = self.table.lock();
         if state.remaining > 0 {
             drop(state);
             return Err(self);
@@ -350,29 +249,27 @@ impl BatchHandle {
     /// # Panics
     /// If `slot >= self.len()`.
     pub fn wait_slot(&self, slot: usize) -> Result<BigInt, MulError> {
-        let mut state = self.completion.lock();
+        let state = self.table.lock();
         assert!(
             slot < state.results.len(),
             "slot {slot} out of range for batch of {}",
             state.results.len()
         );
-        while state.results[slot].is_none() {
-            state.slot_waiters += 1;
-            state = self
-                .completion
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.slot_waiters -= 1;
-        }
+        let state = self.table.wait_for_slot(state, slot);
         state.results[slot].clone().expect("checked above")
+    }
+
+    /// View a one-pair submission as a [`ResponseHandle`].
+    pub(crate) fn into_single(self) -> ResponseHandle {
+        debug_assert_eq!(self.len(), 1, "a ResponseHandle views a one-slot table");
+        ResponseHandle { table: self.table }
     }
 }
 
 /// Streaming consumer of a [`BatchHandle`]: yields each element's result
 /// in submission order, blocking only until *that* element resolves.
 pub struct BatchResults {
-    completion: Arc<BatchCompletion>,
+    table: Arc<ResultTable>,
     next: usize,
     len: usize,
 }
@@ -386,16 +283,8 @@ impl Iterator for BatchResults {
         }
         let slot = self.next;
         self.next += 1;
-        let mut state = self.completion.lock();
-        while state.results[slot].is_none() {
-            state.slot_waiters += 1;
-            state = self
-                .completion
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.slot_waiters -= 1;
-        }
+        let state = self.table.lock();
+        let mut state = self.table.wait_for_slot(state, slot);
         // The iterator owns the handle, so the slot can be moved out.
         Some(state.results[slot].take().expect("checked above"))
     }
@@ -417,41 +306,41 @@ impl IntoIterator for BatchHandle {
     fn into_iter(self) -> BatchResults {
         let len = self.len();
         BatchResults {
-            completion: self.completion,
+            table: self.table,
             next: 0,
             len,
         }
     }
 }
 
-/// Client-side handle to one accepted request.
+/// Client-side handle to one accepted request: a view of a one-slot
+/// result table.
 pub struct ResponseHandle {
-    completion: Arc<Completion>,
+    table: Arc<ResultTable>,
 }
 
 impl ResponseHandle {
+    /// Take the result out of a resolved table.
+    fn take(state: &mut TableState) -> Option<Result<BigInt, MulError>> {
+        if state.remaining == 0 {
+            state.results[0].take()
+        } else {
+            None
+        }
+    }
+
     /// Block until the request resolves.
     pub fn wait(self) -> Result<BigInt, MulError> {
-        let mut state = self.completion.lock();
-        loop {
-            if let Some(result) = state.result.take() {
-                return result;
-            }
-            state = self
-                .completion
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match self.wait_timeout(Duration::MAX) {
+            Ok(result) => result,
+            Err(_) => unreachable!("an unbounded wait returns the result"),
         }
     }
 
     /// Non-blocking poll; `Err(self)` when the request is still pending.
     pub fn try_wait(self) -> Result<Result<BigInt, MulError>, ResponseHandle> {
-        let taken = self.completion.lock().result.take();
-        match taken {
-            Some(result) => Ok(result),
-            None => Err(self),
-        }
+        let taken = Self::take(&mut self.table.lock());
+        taken.ok_or(self)
     }
 
     /// Block for at most `timeout`; `Err(self)` hands the still-usable
@@ -460,16 +349,16 @@ impl ResponseHandle {
         self,
         timeout: Duration,
     ) -> Result<Result<BigInt, MulError>, ResponseHandle> {
-        let completion = self.completion.clone();
+        let table = self.table.clone();
         let deadline = Instant::now().checked_add(timeout);
-        let mut state = completion.lock();
+        let mut state = table.lock();
         loop {
-            if let Some(result) = state.result.take() {
+            if let Some(result) = Self::take(&mut state) {
                 return Ok(result);
             }
             // An overflowing deadline (e.g. Duration::MAX) waits forever.
             let Some(deadline) = deadline else {
-                state = completion
+                state = table
                     .ready
                     .wait(state)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -480,7 +369,7 @@ impl ResponseHandle {
                 drop(state);
                 return Err(self);
             }
-            let (guard, _) = completion
+            let (guard, _) = table
                 .ready
                 .wait_timeout(state, deadline - now)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -497,12 +386,12 @@ impl ResponseHandle {
     where
         F: FnOnce(Result<BigInt, MulError>) + Send + 'static,
     {
-        let mut state = self.completion.lock();
-        if let Some(result) = state.result.take() {
+        let mut state = self.table.lock();
+        if let Some(result) = Self::take(&mut state) {
             drop(state);
             callback(result);
         } else {
-            state.callback = Some(Box::new(callback));
+            state.on_ready = Some(Box::new(callback));
         }
     }
 }
@@ -528,11 +417,11 @@ impl Deadline {
             .map_or(Deadline::Far, Deadline::At)
     }
 
-    fn expired(self, now: Instant) -> bool {
+    pub(crate) fn expired(self, now: Instant) -> bool {
         matches!(self, Deadline::At(t) if now > t)
     }
 
-    fn sheddable(self) -> bool {
+    pub(crate) fn sheddable(self) -> bool {
         matches!(self, Deadline::None)
     }
 }
@@ -545,40 +434,33 @@ pub(crate) struct MulRequest {
     pub(crate) index: u64,
     pub(crate) deadline: Deadline,
     pub(crate) enqueued_at: Instant,
-    pub(crate) done: Done,
+    pub(crate) done: SlotGuard,
 }
 
-/// One message on the async queue: a single request, or a whole bulk
-/// submission travelling as one message. Carrying the batch unexploded
-/// is the submit-side half of cross-request batching — one channel lock,
-/// one timestamp, one wake-up of the dispatcher for `n` requests; the
-/// dispatcher explodes it into per-request entries for gating/grouping.
-pub(crate) enum Submission {
-    One(MulRequest),
-    Many(BatchJob),
-}
-
+/// One message on the submission queue: a whole job travelling
+/// unexploded; the dispatcher explodes it into per-request entries for
+/// grouping.
 pub(crate) struct BatchJob {
-    pub(crate) pairs: Vec<(BigInt, BigInt)>,
+    pairs: Vec<(BigInt, BigInt)>,
     /// Sequence number of the first element; element `i` is
     /// `first_index + i` (chaos/jitter seeding stays per-request).
-    pub(crate) first_index: u64,
-    pub(crate) deadline: Deadline,
-    pub(crate) enqueued_at: Instant,
-    pub(crate) slots: Vec<BatchSlotGuard>,
+    first_index: u64,
+    deadline: Deadline,
+    enqueued_at: Instant,
+    slots: Vec<SlotGuard>,
 }
 
 impl BatchJob {
     /// Explode into per-request entries (dispatcher side).
     pub(crate) fn explode(self, round: &mut Vec<MulRequest>) {
-        for (offset, ((a, b), slot)) in self.pairs.into_iter().zip(self.slots).enumerate() {
+        for (offset, ((a, b), done)) in self.pairs.into_iter().zip(self.slots).enumerate() {
             round.push(MulRequest {
                 a,
                 b,
                 index: self.first_index + offset as u64,
                 deadline: self.deadline,
                 enqueued_at: self.enqueued_at,
-                done: Done::Slot(slot),
+                done,
             });
         }
     }
@@ -598,9 +480,36 @@ pub(crate) struct Shared {
     /// `ServiceStopped` instead of executing it, so a sharded router can
     /// observe the loss and fail the work over to a survivor.
     pub(crate) killed: AtomicBool,
+    /// Accepted requests no worker has started yet — queued, held in a
+    /// dispatcher round, or waiting in the hand-off. Incremented on
+    /// accept, decremented when a worker starts (or the dispatcher
+    /// abandons) the request.
+    pub(crate) pending: AtomicUsize,
 }
 
 impl Shared {
+    pub(crate) fn new(config: ServiceConfig) -> Shared {
+        Shared {
+            plans: PlanCache::new(config.plan_cache_capacity),
+            metrics: Metrics::default(),
+            supervisor: Supervisor::new(
+                config.retry.clone(),
+                config.breaker.clone(),
+                config.verify_residues,
+                config.verify.clone(),
+                config.chaos.clone(),
+                config
+                    .distributed
+                    .enabled
+                    .then(|| DistributedBackend::new(&config.distributed)),
+            ),
+            live_policy: parking_lot::RwLock::new(config.kernel_policy.clone()),
+            killed: AtomicBool::new(false),
+            pending: AtomicUsize::new(0),
+            config,
+        }
+    }
+
     /// The kernel policy currently in force (tuner-adjusted).
     pub(crate) fn policy(&self) -> crate::config::KernelPolicy {
         self.live_policy.read().clone()
@@ -617,11 +526,7 @@ impl Shared {
 /// let service = MulService::start(ServiceConfig::default());
 /// let a: BigInt = "123456789123456789".parse().unwrap();
 /// let b: BigInt = "-987654321987654321".parse().unwrap();
-/// let handle = service.submit(a.clone(), b.clone()).unwrap();
-/// assert_eq!(handle.wait().unwrap(), a.mul_schoolbook(&b));
-/// let batched = service.submit_async(a.clone(), b.clone()).unwrap();
-/// assert_eq!(batched.wait().unwrap(), a.mul_schoolbook(&b));
-/// let bulk = service.submit_many(vec![(a.clone(), b.clone()); 3]).unwrap();
+/// let bulk = service.submit(vec![(a.clone(), b.clone()); 3], None).unwrap();
 /// for result in bulk.wait() {
 ///     assert_eq!(result.unwrap(), a.mul_schoolbook(&b));
 /// }
@@ -629,17 +534,15 @@ impl Shared {
 /// ```
 pub struct MulService {
     shared: Arc<Shared>,
-    senders: Vec<Sender<MulRequest>>,
-    async_tx: Option<Sender<Submission>>,
-    next: AtomicUsize,
+    tx: Option<Sender<BatchJob>>,
     seq: AtomicU64,
     shutting_down: AtomicBool,
-    workers: Vec<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     tuner: Option<crate::tuner::TunerHandle>,
 }
 
-/// Distinguishes worker threads across service instances in one process.
+/// Distinguishes service threads across service instances in one process.
 static SERVICE_ID: AtomicUsize = AtomicUsize::new(0);
 
 impl MulService {
@@ -652,29 +555,14 @@ impl MulService {
     #[must_use]
     pub fn start(config: ServiceConfig) -> MulService {
         assert!(config.workers > 0, "workers must be >= 1");
-        assert!(config.queue_capacity > 0, "queue_capacity must be >= 1");
-        assert!(config.batch_max > 0, "batch_max must be >= 1");
+        assert!(
+            config.batching.queue_capacity > 0,
+            "batching.queue_capacity must be >= 1"
+        );
         // Route ft-bigint's process-wide fast-multiply hook (BigInt::pow,
         // residue checks, …) through the Toom auto-dispatcher.
         let _ = ft_toom_core::seq::install_fast_mul_hook();
-        let shared = Arc::new(Shared {
-            plans: PlanCache::new(config.plan_cache_capacity),
-            metrics: Metrics::default(),
-            supervisor: Supervisor::new(
-                config.retry.clone(),
-                config.breaker.clone(),
-                config.verify_residues,
-                config.verify.clone(),
-                config.chaos.clone(),
-                config
-                    .distributed
-                    .enabled
-                    .then(|| DistributedBackend::new(&config.distributed)),
-            ),
-            live_policy: parking_lot::RwLock::new(config.kernel_policy.clone()),
-            killed: AtomicBool::new(false),
-            config,
-        });
+        let shared = Arc::new(Shared::new(config));
         // Resolve both Toom plans up front: the first coalesced batch
         // should not pay plan construction inside its latency.
         shared.plans.prewarm([
@@ -682,28 +570,27 @@ impl MulService {
             shared.config.kernel_policy.par_toom_k,
         ]);
         let service_id = SERVICE_ID.fetch_add(1, Ordering::Relaxed) % 1_000;
-        let mut senders = Vec::with_capacity(shared.config.workers);
-        let mut workers = Vec::with_capacity(shared.config.workers);
-        for index in 0..shared.config.workers {
-            let (tx, rx) = bounded::<MulRequest>(shared.config.queue_capacity);
-            senders.push(tx);
-            let shared = shared.clone();
-            workers.push(
+        let (group_tx, group_rx) = bounded(shared.config.workers);
+        let workers = (0..shared.config.workers)
+            .map(|index| {
+                let (rx, shared) = (group_rx.clone(), shared.clone());
                 std::thread::Builder::new()
-                    // Linux truncates thread names to 15 bytes; the old
-                    // "ft-service-worker-N" collapsed every worker to the
-                    // same truncated name. Keep it short and unique.
+                    // Linux truncates thread names to 15 bytes: keep them
+                    // short and unique.
                     .name(format!("ftsvc{service_id}-w{index}"))
-                    .spawn(move || worker_loop(&rx, &shared))
-                    .expect("spawn service worker"),
-            );
-        }
-        let (async_tx, async_rx) = bounded::<Submission>(shared.config.batching.queue_capacity);
+                    .spawn(move || crate::dispatcher::run_groups(&rx, &shared))
+                    .expect("spawn service worker")
+            })
+            .collect();
+        // Only the workers hold the hand-off's receivers: if every one of
+        // them dies, the dispatcher sees the channel disconnect.
+        drop(group_rx);
+        let (tx, rx) = bounded(shared.config.batching.queue_capacity);
         let dispatcher = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name(format!("ftsvc{service_id}-disp"))
-                .spawn(move || crate::dispatcher::dispatcher_loop(&async_rx, &shared))
+                .spawn(move || crate::dispatcher::dispatcher_loop(&rx, &group_tx, &shared))
                 .expect("spawn service dispatcher")
         };
         let tuner = shared
@@ -713,243 +600,91 @@ impl MulService {
             .then(|| crate::tuner::spawn(shared.clone(), service_id));
         MulService {
             shared,
-            senders,
-            async_tx: Some(async_tx),
-            next: AtomicUsize::new(0),
+            tx: Some(tx),
             seq: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
-            workers,
             dispatcher: Some(dispatcher),
+            workers,
             tuner,
         }
     }
 
-    /// Submit `a × b` with no deadline.
-    pub fn submit(&self, a: BigInt, b: BigInt) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, Deadline::None)
-    }
-
-    /// Submit `a × b`; if a worker does not reach the request within
-    /// `deadline`, it resolves to [`MulError::DeadlineExceeded`]. Huge
-    /// deadlines (e.g. `Duration::MAX`) saturate to "never expires".
-    pub fn submit_with_deadline(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Duration,
-    ) -> Result<ResponseHandle, SubmitError> {
-        self.submit_inner(a, b, Deadline::after(deadline))
-    }
-
-    /// Submit `a × b` on the event-driven path: the request is enqueued
-    /// for the coalescing dispatcher, which may merge it with other
-    /// same-shape requests into one batch kernel invocation. Returns
-    /// immediately; resolve the handle by polling ([`ResponseHandle::
-    /// try_wait`]), blocking, or callback ([`ResponseHandle::on_ready`]).
-    pub fn submit_async(&self, a: BigInt, b: BigInt) -> Result<ResponseHandle, SubmitError> {
-        self.submit_async_inner(a, b, Deadline::None)
-    }
-
-    /// [`Self::submit_async`] with a deadline (same saturation semantics
-    /// as [`Self::submit_with_deadline`]).
-    pub fn submit_async_with_deadline(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Duration,
-    ) -> Result<ResponseHandle, SubmitError> {
-        self.submit_async_inner(a, b, Deadline::after(deadline))
-    }
-
-    fn make_request(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Deadline,
-    ) -> (MulRequest, Arc<Completion>) {
-        let completion = Arc::new(Completion::default());
-        let request = MulRequest {
-            a,
-            b,
-            index: self.seq.fetch_add(1, Ordering::Relaxed),
-            deadline,
-            enqueued_at: Instant::now(),
-            done: Done::Single(CompletionGuard {
-                completion: completion.clone(),
-                fulfilled: false,
-            }),
-        };
-        (request, completion)
-    }
-
-    fn submit_async_inner(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Deadline,
-    ) -> Result<ResponseHandle, SubmitError> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let Some(tx) = self.async_tx.as_ref() else {
-            return Err(SubmitError::ShuttingDown);
-        };
-        let (request, completion) = self.make_request(a, b, deadline);
-        match tx.try_send_counted(Submission::One(request)) {
-            Ok(depth) => {
-                self.shared.metrics.observe_queue_depth(depth);
-                Ok(ResponseHandle { completion })
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.metrics.record_queue_full();
-                Err(SubmitError::QueueFull {
-                    capacity: self.shared.config.batching.queue_capacity,
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
-        }
-    }
-
-    /// Bulk async submission: enqueue `pairs` as ONE message for the
-    /// coalescing dispatcher and resolve them through one shared
-    /// [`BatchHandle`]. This is the cross-request batching entry point —
-    /// relative to `pairs.len()` calls of [`Self::submit_async`] it pays
-    /// the channel lock, the enqueue timestamp, the completion
-    /// allocation, and the client's blocking wait once per *batch*
-    /// instead of once per request, mirroring the paper's per-batch (not
+    /// Submit `pairs` as one job and resolve them through one shared
+    /// [`BatchHandle`], results in submission order. With a `deadline`,
+    /// every element a worker does not reach in time resolves to
+    /// [`MulError::DeadlineExceeded`]; huge deadlines (e.g.
+    /// `Duration::MAX`) saturate to "never expires".
+    ///
+    /// The job occupies one slot of the submission queue regardless of
+    /// length and pays the channel lock, the enqueue timestamp, the result
+    /// table and the client's blocking wait once per *job* instead of once
+    /// per request, mirroring the paper's per-batch (not
     /// per-multiplication) bandwidth/latency accounting. Elements still
     /// gate, group, verify, and count in metrics individually.
-    ///
-    /// The whole submission occupies one slot of the async queue
-    /// regardless of length. Results come back in submission order.
-    pub fn submit_many(&self, pairs: Vec<(BigInt, BigInt)>) -> Result<BatchHandle, SubmitError> {
-        self.submit_many_inner(pairs, Deadline::None)
-    }
-
-    /// [`Self::submit_many`] with one deadline covering every element
-    /// (same saturation semantics as [`Self::submit_with_deadline`]).
-    pub fn submit_many_with_deadline(
+    pub fn submit(
         &self,
         pairs: Vec<(BigInt, BigInt)>,
-        deadline: Duration,
-    ) -> Result<BatchHandle, SubmitError> {
-        self.submit_many_inner(pairs, Deadline::after(deadline))
-    }
-
-    fn submit_many_inner(
-        &self,
-        pairs: Vec<(BigInt, BigInt)>,
-        deadline: Deadline,
+        deadline: Option<Duration>,
     ) -> Result<BatchHandle, SubmitError> {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
-        let Some(tx) = self.async_tx.as_ref() else {
+        let Some(tx) = self.tx.as_ref() else {
             return Err(SubmitError::ShuttingDown);
         };
-        let completion = Arc::new(BatchCompletion::new(pairs.len()));
-        if pairs.is_empty() {
+        let (handle, slots) = result_table(pairs.len());
+        let n = pairs.len();
+        if n == 0 {
             // Nothing to enqueue; the handle resolves immediately.
-            return Ok(BatchHandle { completion });
+            return Ok(handle);
         }
-        let slots = (0..pairs.len())
-            .map(|slot| BatchSlotGuard {
-                completion: completion.clone(),
-                slot,
-                fulfilled: false,
-            })
-            .collect();
-        let first_index = self.seq.fetch_add(pairs.len() as u64, Ordering::Relaxed);
         let job = BatchJob {
             pairs,
-            first_index,
-            deadline,
+            first_index: self.seq.fetch_add(n as u64, Ordering::Relaxed),
+            deadline: deadline.map_or(Deadline::None, Deadline::after),
             enqueued_at: Instant::now(),
             slots,
         };
-        match tx.try_send_counted(Submission::Many(job)) {
-            Ok(depth) => {
+        // Count the requests before a worker can see them, so its
+        // decrement never runs ahead of this increment.
+        let depth = self.shared.pending.fetch_add(n, Ordering::Relaxed) + n;
+        match tx.try_send(job) {
+            Ok(()) => {
                 self.shared.metrics.observe_queue_depth(depth);
-                Ok(BatchHandle { completion })
+                Ok(handle)
             }
-            Err(TrySendError::Full(_)) => {
-                self.shared.metrics.record_queue_full();
-                // The rejected job's slot guards resolved the handle as
-                // ServiceStopped on drop; the caller only sees the error.
-                Err(SubmitError::QueueFull {
-                    capacity: self.shared.config.batching.queue_capacity,
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
-        }
-    }
-
-    fn submit_inner(
-        &self,
-        a: BigInt,
-        b: BigInt,
-        deadline: Deadline,
-    ) -> Result<ResponseHandle, SubmitError> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let (mut request, completion) = self.make_request(a, b, deadline);
-        let n = self.senders.len();
-        let first = self.next.fetch_add(1, Ordering::Relaxed);
-        // Round-robin with up to one full-queue failover probe. A
-        // disconnected queue means that worker died; skip it and keep
-        // probing — only report ShuttingDown when no live queue was seen.
-        let mut fulls = 0;
-        let mut disconnected = 0;
-        for offset in 0..n {
-            let sender = &self.senders[(first + offset) % n];
-            match sender.try_send_counted(request) {
-                Ok(depth) => {
-                    self.shared.metrics.observe_queue_depth(depth);
-                    return Ok(ResponseHandle { completion });
-                }
-                Err(TrySendError::Full(r)) => {
-                    request = r;
-                    fulls += 1;
-                    if fulls >= 2 {
-                        break;
+            // The rejected job's slot guards resolve the handle as
+            // ServiceStopped on drop; the caller only sees the error.
+            Err(error) => {
+                self.shared.pending.fetch_sub(n, Ordering::Relaxed);
+                match error {
+                    TrySendError::Full(_) => {
+                        self.shared.metrics.record_queue_full();
+                        Err(SubmitError::QueueFull {
+                            capacity: self.shared.config.batching.queue_capacity,
+                        })
                     }
-                }
-                Err(TrySendError::Disconnected(r)) => {
-                    request = r;
-                    disconnected += 1;
+                    TrySendError::Disconnected(_) => Err(SubmitError::ShuttingDown),
                 }
             }
         }
-        if fulls == 0 && disconnected > 0 {
-            return Err(SubmitError::ShuttingDown);
-        }
-        self.shared.metrics.record_queue_full();
-        // Dropping `request` here resolves the handle as ServiceStopped,
-        // but the caller only sees the SubmitError.
-        Err(SubmitError::QueueFull {
-            capacity: self.shared.config.queue_capacity,
-        })
     }
 
-    /// Point-in-time metrics (counters plus current total queue depth).
+    /// Point-in-time metrics (counters plus current queue depth).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let depth = self.senders.iter().map(Sender::len).sum::<usize>()
-            + self.async_tx.as_ref().map_or(0, Sender::len);
         self.shared
             .metrics
-            .snapshot(depth, self.shared.plans.stats())
+            .snapshot(self.queue_depth(), self.shared.plans.stats())
     }
 
-    /// Current total queue depth (sync worker queues plus the async
-    /// coalescing queue), without the full snapshot walk of
-    /// [`MulService::metrics`] — cheap enough for per-rejection use,
-    /// e.g. deriving an HTTP `Retry-After` from live backlog.
+    /// Accepted requests no worker has started yet (queued, in a
+    /// dispatcher round, or in the hand-off), without the full snapshot
+    /// walk of [`MulService::metrics`] — cheap enough for per-rejection
+    /// use, e.g. deriving an HTTP `Retry-After` from live backlog.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.senders.iter().map(Sender::len).sum::<usize>()
-            + self.async_tx.as_ref().map_or(0, Sender::len)
+        self.shared.pending.load(Ordering::Relaxed)
     }
 
     /// The configuration the service was started with.
@@ -967,10 +702,10 @@ impl MulService {
 
     /// Simulated fail-stop: refuse new submissions and resolve every
     /// accepted-but-unstarted request as [`MulError::ServiceStopped`]
-    /// the moment a worker dequeues it. Requests already executing
+    /// the moment a worker starts its group. Requests already executing
     /// complete (and verify) normally — a fail-stop processor finishes
     /// nothing *new*, but this in-process simulation keeps its promises
-    /// resolvable so no waiter ever hangs. The worker threads stay up to
+    /// resolvable so no waiter ever hangs. The service threads stay up to
     /// drain the surrendered queue; [`Self::shutdown`] still works
     /// afterwards and returns the final metrics.
     pub fn kill(&self) {
@@ -985,7 +720,7 @@ impl MulService {
     }
 
     /// Stop accepting work, drain every accepted request, join the
-    /// workers, and return the final metrics.
+    /// service threads, and return the final metrics.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.stop_and_join();
         self.shared.metrics.snapshot(0, self.shared.plans.stats())
@@ -996,16 +731,15 @@ impl MulService {
         if let Some(tuner) = self.tuner.take() {
             tuner.stop();
         }
-        // Disconnect the channels; workers and dispatcher drain whatever
-        // was already accepted, then exit.
-        self.async_tx = None;
-        self.senders.clear();
+        // Disconnect the submission queue; the dispatcher drains it and
+        // hangs up the hand-off, and the workers drain that in turn.
+        self.tx = None;
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
         }
         for handle in self.workers.drain(..) {
-            // A panicked worker already resolved its lost requests as
-            // ServiceStopped via CompletionGuard; nothing more to do.
+            // A worker killed by an escalated panic already resolved its
+            // lost requests as ServiceStopped via their slot guards.
             let _ = handle.join();
         }
     }
@@ -1017,134 +751,27 @@ impl Drop for MulService {
     }
 }
 
-/// A fresh client handle / write capability pair over one new
-/// [`Completion`] — the router's building block: it hands the handle to
-/// the client once, keeps the guard, and moves the guard between shards
-/// as it fails work over.
-pub(crate) fn completion_pair() -> (ResponseHandle, CompletionGuard) {
-    let completion = Arc::new(Completion::default());
-    let guard = CompletionGuard {
-        completion: completion.clone(),
-        fulfilled: false,
-    };
-    (ResponseHandle { completion }, guard)
-}
-
-/// A batch handle plus its per-slot write capabilities, detached from
-/// any queue — the router resolves each slot through its own routed
-/// (and possibly re-routed) sub-request.
-pub(crate) fn batch_pair(len: usize) -> (BatchHandle, Vec<BatchSlotGuard>) {
-    let completion = Arc::new(BatchCompletion::new(len));
-    let slots = (0..len)
-        .map(|slot| BatchSlotGuard {
-            completion: completion.clone(),
-            slot,
-            fulfilled: false,
-        })
-        .collect();
-    (BatchHandle { completion }, slots)
-}
-
-/// A handle that is already resolved — synchronous transports (the
-/// simulated coded machine) compute inline and wrap the result.
-pub(crate) fn resolved_handle(result: Result<BigInt, MulError>) -> ResponseHandle {
-    let completion = Arc::new(Completion::default());
-    completion.fill(result);
-    ResponseHandle { completion }
-}
-
-fn worker_loop(rx: &Receiver<MulRequest>, shared: &Shared) {
-    let mut batch = Vec::with_capacity(shared.config.batch_max);
-    // recv keeps returning queued requests after disconnect until the
-    // queue is empty, so shutdown drains everything already accepted.
-    while let Ok(first) = rx.recv() {
-        batch.push(first);
-        while batch.len() < shared.config.batch_max {
-            match rx.try_recv() {
-                Ok(request) => batch.push(request),
-                Err(_) => break,
-            }
-        }
-        for request in batch.drain(..) {
-            process(request, shared);
-        }
-    }
-}
-
-/// Apply the pre-execution admission checks: reject a request whose
-/// deadline has already passed (counted `timed_out` — this includes the
-/// race where the deadline expires between dequeue and this check), shed
-/// an over-aged deadline-less request. Returns the request when it should
-/// run; `None` when it was resolved with a rejection. `now` is sampled by
-/// the caller (once per dequeued batch, not per element — clock reads
-/// are a measurable cost at coalesced-round sizes).
-pub(crate) fn gate(request: MulRequest, now: Instant, shared: &Shared) -> Option<MulRequest> {
-    if shared.killed.load(Ordering::Acquire) {
-        // Simulated fail-stop: unstarted work is surrendered, not served.
-        // The router's completion callback re-routes it to a live shard.
-        request.done.fulfill(Err(MulError::ServiceStopped));
-        return None;
-    }
-    let waited = now.saturating_duration_since(request.enqueued_at);
-    if request.deadline.expired(now) {
-        shared.metrics.record_timed_out();
-        request
-            .done
-            .fulfill(Err(MulError::DeadlineExceeded { waited }));
-        return None;
-    }
-    if request.deadline.sheddable() {
-        if let Some(shed_after_ms) = shared.config.shed_after_ms {
-            if waited > Duration::from_millis(shed_after_ms) {
-                shared.metrics.record_shed();
-                request.done.fulfill(Err(MulError::Shed { waited }));
-                return None;
-            }
-        }
-    }
-    Some(request)
-}
-
-/// Execute one admitted request on the individual supervised path and
-/// publish its result.
-pub(crate) fn execute_single(request: MulRequest, shared: &Shared) {
-    let policy = shared.policy();
-    let selected = Kernel::select(&request.a, &request.b, &policy);
-    match shared.supervisor.execute(
-        &request.a,
-        &request.b,
-        request.index,
-        selected,
-        &policy,
-        &shared.plans,
-        &shared.metrics,
-    ) {
-        Ok((product, kernel)) => {
-            let bits = request.a.bit_length().min(request.b.bit_length());
-            shared
-                .metrics
-                .record_served(kernel, bits, request.enqueued_at.elapsed());
-            request.done.fulfill(Ok(product));
-        }
-        Err(error) => request.done.fulfill(Err(error)),
-    }
-}
-
-pub(crate) fn process(request: MulRequest, shared: &Shared) {
-    if let Some(request) = gate(request, Instant::now(), shared) {
-        execute_single(request, shared);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelPolicy;
+    use crate::config::{BatchingConfig, KernelPolicy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// Submit one pair; the returned handle views its one-slot table.
+    fn one(
+        service: &MulService,
+        a: BigInt,
+        b: BigInt,
+        deadline: Option<Duration>,
+    ) -> Result<ResponseHandle, SubmitError> {
+        service
+            .submit(vec![(a, b)], deadline)
+            .map(BatchHandle::into_single)
     }
 
     /// Operands big enough to keep one schoolbook-only worker busy for
@@ -1157,6 +784,17 @@ mod tests {
         }
     }
 
+    /// One round per job: the dispatcher hands every job over as its own
+    /// group, so the jobs it can hold past the submission queue are
+    /// exactly one in the hand-off plus one blocked in its hands.
+    fn one_job_rounds(queue_capacity: usize) -> BatchingConfig {
+        BatchingConfig {
+            queue_capacity,
+            max_batch: 1,
+            ..BatchingConfig::default()
+        }
+    }
+
     #[test]
     fn kill_surrenders_queued_work_and_refuses_new_submits() {
         // One worker pinned by a slow schoolbook blocker; everything
@@ -1164,7 +802,6 @@ mod tests {
         // the blocker itself (already started) must complete normally.
         let service = MulService::start(ServiceConfig {
             workers: 1,
-            queue_capacity: 16,
             kernel_policy: blocker_policy(),
             verify_residues: false,
             ..ServiceConfig::default()
@@ -1172,15 +809,15 @@ mod tests {
         let mut rng = rng(77);
         let a = BigInt::random_signed_bits(&mut rng, 400_000);
         let b = BigInt::random_signed_bits(&mut rng, 400_000);
-        let blocker = service.submit(a.clone(), b.clone()).unwrap();
+        let blocker = one(&service, a.clone(), b.clone(), None).unwrap();
         std::thread::sleep(Duration::from_millis(30)); // let it start
         let queued: Vec<_> = (0..4)
-            .map(|_| service.submit(a.clone(), b.clone()).unwrap())
+            .map(|_| one(&service, a.clone(), b.clone(), None).unwrap())
             .collect();
         service.kill();
         assert!(service.is_killed());
         assert!(matches!(
-            service.submit(a.clone(), b.clone()),
+            one(&service, a.clone(), b.clone(), None),
             Err(SubmitError::ShuttingDown)
         ));
         for handle in queued {
@@ -1201,7 +838,7 @@ mod tests {
             let a = BigInt::random_signed_bits(&mut rng, bits);
             let b = BigInt::random_signed_bits(&mut rng, bits);
             expected.push(a.mul_schoolbook(&b));
-            handles.push(service.submit(a, b).unwrap());
+            handles.push(one(&service, a, b, None).unwrap());
         }
         for (handle, want) in handles.into_iter().zip(expected) {
             assert_eq!(handle.wait().unwrap(), want);
@@ -1222,22 +859,23 @@ mod tests {
     fn backpressure_rejects_when_queues_fill() {
         let config = ServiceConfig {
             workers: 1,
-            queue_capacity: 2,
             kernel_policy: blocker_policy(),
+            batching: one_job_rounds(2),
             ..ServiceConfig::default()
         };
         let service = MulService::start(config);
         let mut rng = rng(11);
         let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service.submit(big.clone(), big.clone()).unwrap();
+        let blocker = one(&service, big.clone(), big.clone(), None).unwrap();
         let tiny = BigInt::random_bits(&mut rng, 64);
-        // While the worker grinds the blocker, its depth-2 queue can hold
-        // at most 2 of these 4; at least 2 must bounce.
-        let results: Vec<_> = (0..4)
-            .map(|_| service.submit(tiny.clone(), tiny.clone()))
+        // While the worker grinds the blocker, the service can hold at
+        // most 4 of these 8: one in the hand-off, one in the dispatcher's
+        // hands, two in the depth-2 queue. At least 4 must bounce.
+        let results: Vec<_> = (0..8)
+            .map(|_| one(&service, tiny.clone(), tiny.clone(), None))
             .collect();
         let rejected = results.iter().filter(|r| r.is_err()).count();
-        assert!(rejected >= 2, "expected >= 2 rejections, got {rejected}");
+        assert!(rejected >= 4, "expected >= 4 rejections, got {rejected}");
         for r in &results {
             if let Err(e) = r {
                 assert_eq!(*e, SubmitError::QueueFull { capacity: 2 });
@@ -1249,8 +887,51 @@ mod tests {
         }
         assert_eq!(blocker.wait().unwrap(), big.mul_schoolbook(&big));
         let metrics = service.shutdown();
-        assert!(metrics.rejected_queue_full >= 2);
+        assert!(metrics.rejected_queue_full >= 4);
         assert!(metrics.queue_depth_high_water >= 1);
+    }
+
+    #[test]
+    fn queue_depth_counts_requests_held_past_the_queue() {
+        // The only worker straggles 300 ms on request 0, so everything
+        // submitted meanwhile stays unstarted.
+        let config = ServiceConfig {
+            workers: 1,
+            batching: one_job_rounds(8),
+            chaos: Some(crate::chaos::ChaosConfig {
+                straggle_ms: 300,
+                force: vec![(0, crate::chaos::FaultKind::Straggle)],
+                ..crate::chaos::ChaosConfig::default()
+            }),
+            ..ServiceConfig::default()
+        };
+        let service = MulService::start(config);
+        let mut rng = rng(30);
+        let x = BigInt::random_bits(&mut rng, 64);
+        let straggler = one(&service, x.clone(), x.clone(), None).unwrap();
+        // A started request is no longer queued.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while service.queue_depth() > 0 {
+            assert!(Instant::now() < deadline, "the straggler never started");
+            std::thread::yield_now();
+        }
+        // A 3-pair job plus two singles: wherever each waits — queue,
+        // dispatcher round, or hand-off — every request counts until a
+        // worker starts it.
+        let job = service.submit(vec![(x.clone(), x.clone()); 3], None);
+        let singles: Vec<_> = (0..2)
+            .map(|_| one(&service, x.clone(), x.clone(), None).unwrap())
+            .collect();
+        assert_eq!(service.queue_depth(), 5);
+        assert!(straggler.wait().is_ok());
+        for result in job.unwrap().wait() {
+            assert!(result.is_ok());
+        }
+        for handle in singles {
+            assert!(handle.wait().is_ok());
+        }
+        assert_eq!(service.queue_depth(), 0);
+        assert!(service.shutdown().queue_depth_high_water >= 5);
     }
 
     #[test]
@@ -1263,13 +944,9 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(12);
         let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service
-            .submit(big, BigInt::random_bits(&mut rng, 400_000))
-            .unwrap();
+        let blocker = one(&service, big, BigInt::random_bits(&mut rng, 400_000), None).unwrap();
         let tiny = BigInt::random_bits(&mut rng, 64);
-        let doomed = service
-            .submit_with_deadline(tiny.clone(), tiny, Duration::from_millis(1))
-            .unwrap();
+        let doomed = one(&service, tiny.clone(), tiny, Some(Duration::from_millis(1))).unwrap();
         match doomed.wait() {
             Err(MulError::DeadlineExceeded { waited }) => {
                 assert!(waited >= Duration::from_millis(1));
@@ -1280,10 +957,9 @@ mod tests {
         assert_eq!(service.shutdown().timed_out, 1);
     }
 
-    /// Satellite regression: `submit_with_deadline(Duration::MAX)` used to
-    /// compute `Instant::now() + deadline` unchecked and panic; it must
-    /// saturate to a never-expiring deadline instead, on both submit
-    /// paths.
+    /// Satellite regression: a `Duration::MAX` deadline used to compute
+    /// `Instant::now() + deadline` unchecked and panic; it must saturate
+    /// to a never-expiring deadline instead.
     #[test]
     fn huge_deadlines_saturate_instead_of_panicking() {
         let service = MulService::start(ServiceConfig::default());
@@ -1291,15 +967,10 @@ mod tests {
         let a = BigInt::random_signed_bits(&mut rng, 600);
         let b = BigInt::random_signed_bits(&mut rng, 600);
         let want = a.mul_schoolbook(&b);
-        let sync = service
-            .submit_with_deadline(a.clone(), b.clone(), Duration::MAX)
-            .unwrap();
-        assert_eq!(sync.wait().unwrap(), want);
-        let huge = Duration::MAX - Duration::from_nanos(1);
-        let asynced = service
-            .submit_async_with_deadline(a.clone(), b.clone(), huge)
-            .unwrap();
-        assert_eq!(asynced.wait().unwrap(), want);
+        for huge in [Duration::MAX, Duration::MAX - Duration::from_nanos(1)] {
+            let handle = one(&service, a.clone(), b.clone(), Some(huge)).unwrap();
+            assert_eq!(handle.wait().unwrap(), want);
+        }
         let metrics = service.shutdown();
         assert_eq!(metrics.served, 2);
         assert_eq!(metrics.timed_out, 0, "a Far deadline never expires");
@@ -1318,16 +989,12 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(18);
         let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service
-            .submit_with_deadline(big.clone(), big, Duration::from_secs(3600))
-            .unwrap();
+        let blocker = one(&service, big.clone(), big, Some(Duration::from_secs(3600))).unwrap();
         let tiny = BigInt::random_bits(&mut rng, 64);
         // Queued behind the blocker with shed_after_ms = 0: a deadline-less
         // request would be shed, but Duration::MAX saturates to Far which
         // still counts as deadline-carrying.
-        let kept = service
-            .submit_with_deadline(tiny.clone(), tiny.clone(), Duration::MAX)
-            .unwrap();
+        let kept = one(&service, tiny.clone(), tiny.clone(), Some(Duration::MAX)).unwrap();
         assert_eq!(kept.wait().unwrap(), tiny.mul_schoolbook(&tiny));
         assert!(blocker.wait().is_ok());
         assert_eq!(service.shutdown().shed, 0);
@@ -1346,11 +1013,9 @@ mod tests {
         let big = BigInt::random_bits(&mut rng, 400_000);
         // The blocker carries a generous deadline so shedding (which only
         // applies to deadline-less requests) cannot touch it.
-        let blocker = service
-            .submit_with_deadline(big.clone(), big, Duration::from_secs(3600))
-            .unwrap();
+        let blocker = one(&service, big.clone(), big, Some(Duration::from_secs(3600))).unwrap();
         let tiny = BigInt::random_bits(&mut rng, 64);
-        let shed = service.submit(tiny.clone(), tiny).unwrap();
+        let shed = one(&service, tiny.clone(), tiny, None).unwrap();
         match shed.wait() {
             Err(MulError::Shed { .. }) => {}
             other => panic!("expected Shed, got {other:?}"),
@@ -1368,7 +1033,7 @@ mod tests {
                 let a = BigInt::random_signed_bits(&mut rng, 2_000);
                 let b = BigInt::random_signed_bits(&mut rng, 2_000);
                 let want = a.mul_schoolbook(&b);
-                (service.submit(a, b).unwrap(), want)
+                (one(&service, a, b, None).unwrap(), want)
             })
             .collect();
         let metrics = service.shutdown();
@@ -1388,7 +1053,7 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(15);
         let big = BigInt::random_bits(&mut rng, 400_000);
-        let handle = service.submit(big.clone(), big.clone()).unwrap();
+        let handle = one(&service, big.clone(), big.clone(), None).unwrap();
         // The worker is still grinding: the timeout hands the handle back.
         let handle = match handle.wait_timeout(Duration::from_millis(1)) {
             Err(handle) => handle,
@@ -1403,10 +1068,10 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_does_not_break_submission_or_shutdown() {
+    fn dead_workers_do_not_break_submission_or_shutdown() {
         crate::chaos::install_quiet_panic_hook();
         // Two workers; requests 0 and 1 panic with escalation enabled, so
-        // whichever workers execute them die mid-request.
+        // whichever workers run them die mid-request.
         let config = ServiceConfig {
             workers: 2,
             kernel_policy: blocker_policy(),
@@ -1423,28 +1088,28 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(16);
         let x = BigInt::random_bits(&mut rng, 500);
-        let doomed_a = service.submit(x.clone(), x.clone()).unwrap();
-        let doomed_b = service.submit(x.clone(), x.clone()).unwrap();
-        // The killed requests resolve (ServiceStopped via the completion
-        // guard) instead of hanging.
+        let doomed_a = one(&service, x.clone(), x.clone(), None).unwrap();
+        let doomed_b = one(&service, x.clone(), x.clone(), None).unwrap();
+        // The killed requests resolve (ServiceStopped via their slot
+        // guards) instead of hanging.
         assert_eq!(doomed_a.wait(), Err(MulError::ServiceStopped));
         assert_eq!(doomed_b.wait(), Err(MulError::ServiceStopped));
-        // Give the dying threads a beat to drop their receivers, then
-        // confirm submission fails over past dead queues: with every
-        // worker dead, submits report ShuttingDown rather than panicking
-        // or hanging, and shutdown still joins cleanly.
-        std::thread::sleep(Duration::from_millis(100));
+        // One or both workers are gone. A survivor serves; with none left
+        // the dispatcher resolves what it can no longer hand over as
+        // ServiceStopped — never a hang or a panic — and shutdown still
+        // joins cleanly.
         let expect = x.mul_schoolbook(&x);
         for _ in 0..4 {
-            match service.submit(x.clone(), x.clone()) {
+            match one(&service, x.clone(), x.clone(), None) {
                 Ok(handle) => match handle.wait() {
                     Ok(product) => assert_eq!(product, expect),
                     Err(MulError::ServiceStopped) => {}
                     Err(other) => panic!("unexpected error {other:?}"),
                 },
-                Err(SubmitError::ShuttingDown | SubmitError::QueueFull { .. }) => {}
+                Err(other) => panic!("unexpected submit error {other:?}"),
             }
         }
+        assert_eq!(service.queue_depth(), 0);
         service.shutdown(); // must not hang on the dead workers
     }
 
@@ -1452,26 +1117,22 @@ mod tests {
     fn submit_after_shutdown_flag_is_rejected() {
         let service = MulService::start(ServiceConfig::default());
         service.shutting_down.store(true, Ordering::Release);
-        let one: BigInt = "1".parse().unwrap();
+        let x: BigInt = "1".parse().unwrap();
         assert!(matches!(
-            service.submit(one.clone(), one.clone()),
-            Err(SubmitError::ShuttingDown)
-        ));
-        assert!(matches!(
-            service.submit_async(one.clone(), one),
+            one(&service, x.clone(), x, None),
             Err(SubmitError::ShuttingDown)
         ));
     }
 
     #[test]
-    fn async_requests_resolve_and_coalesce() {
+    fn requests_resolve_and_coalesce() {
         let config = ServiceConfig {
             // A generous window so quickly-submitted requests coalesce
             // deterministically into few batches.
-            batching: crate::config::BatchingConfig {
+            batching: BatchingConfig {
                 window_us: 50_000,
                 max_batch: 8,
-                ..crate::config::BatchingConfig::default()
+                ..BatchingConfig::default()
             },
             tuner: crate::config::TunerConfig {
                 enabled: false,
@@ -1487,7 +1148,7 @@ mod tests {
             let a = BigInt::random_signed_bits(&mut rng, 4_000);
             let b = BigInt::random_signed_bits(&mut rng, 4_000);
             let want = a.mul_schoolbook(&b);
-            handles.push((service.submit_async(a, b).unwrap(), want));
+            handles.push((one(&service, a, b, None).unwrap(), want));
         }
         for (handle, want) in handles {
             assert_eq!(handle.wait().unwrap(), want);
@@ -1504,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_shapes_still_resolve_correctly_async() {
+    fn mixed_shapes_still_resolve_correctly() {
         let service = MulService::start(ServiceConfig::default());
         let mut rng = rng(20);
         let mut handles = Vec::new();
@@ -1512,7 +1173,7 @@ mod tests {
             let a = BigInt::random_signed_bits(&mut rng, bits);
             let b = BigInt::random_signed_bits(&mut rng, bits);
             let want = a.mul_schoolbook(&b);
-            handles.push((service.submit_async(a, b).unwrap(), want));
+            handles.push((one(&service, a, b, None).unwrap(), want));
         }
         for (handle, want) in handles {
             assert_eq!(handle.wait().unwrap(), want);
@@ -1528,8 +1189,7 @@ mod tests {
         let b = BigInt::random_signed_bits(&mut rng, 2_000);
         let want = a.mul_schoolbook(&b);
         let (tx, rx) = std::sync::mpsc::channel();
-        service
-            .submit_async(a, b)
+        one(&service, a, b, None)
             .unwrap()
             .on_ready(move |result| tx.send(result).unwrap());
         let got = rx.recv_timeout(Duration::from_secs(60)).unwrap();
@@ -1538,7 +1198,7 @@ mod tests {
         let c = BigInt::random_signed_bits(&mut rng, 1_000);
         let d = BigInt::random_signed_bits(&mut rng, 1_000);
         let want2 = c.mul_schoolbook(&d);
-        let handle = service.submit(c, d).unwrap();
+        let handle = one(&service, c, d, None).unwrap();
         // Wait for completion through the metrics, keeping the handle.
         let deadline = Instant::now() + Duration::from_secs(60);
         while service.metrics().served < 2 {
@@ -1561,24 +1221,23 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(22);
         let big = BigInt::random_bits(&mut rng, 300_000);
-        let blocker = service.submit(big.clone(), big).unwrap();
+        let blocker = one(&service, big.clone(), big, None).unwrap();
         let tiny = BigInt::random_bits(&mut rng, 64);
         let (tx, rx) = std::sync::mpsc::channel();
-        service
-            .submit_async(tiny.clone(), tiny)
+        one(&service, tiny.clone(), tiny, None)
             .unwrap()
             .on_ready(move |result| tx.send(result).unwrap());
-        // Shutdown drains the async queue, so the callback fires with the
-        // real product (or ServiceStopped if the dispatcher lost it —
-        // either way it *fires*).
+        // Shutdown drains the queue, so the callback fires with the real
+        // product (or ServiceStopped if the request was lost — either way
+        // it *fires*).
         drop(blocker);
         service.shutdown();
         let got = rx.recv_timeout(Duration::from_secs(60)).unwrap();
         assert!(matches!(got, Ok(_) | Err(MulError::ServiceStopped)));
     }
 
-    /// Satellite (e): a request whose deadline expires while it sits in
-    /// the queue behind a chaos-injected straggler must resolve as
+    /// Satellite (e): a request whose deadline expires while it waits
+    /// behind a chaos-injected straggler must resolve as
     /// `DeadlineExceeded` and count in `timed_out` — never in `served`.
     /// Deterministic: one worker, the straggler is forced on request 0.
     #[test]
@@ -1597,13 +1256,19 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(23);
         let x = BigInt::random_bits(&mut rng, 500);
-        let straggler = service.submit(x.clone(), x.clone()).unwrap();
+        let straggler = one(&service, x.clone(), x.clone(), None).unwrap();
+        // Let the worker start the straggler first (same size class: in
+        // one round the two would share its group).
+        std::thread::sleep(Duration::from_millis(10));
         // Queued behind the straggler with a 5 ms deadline: it expires
-        // while request 0 sleeps, after this request was already accepted
-        // (and possibly already dequeued into the worker's batch).
-        let doomed = service
-            .submit_with_deadline(x.clone(), x.clone(), Duration::from_millis(5))
-            .unwrap();
+        // while request 0 sleeps, after this request was accepted.
+        let doomed = one(
+            &service,
+            x.clone(),
+            x.clone(),
+            Some(Duration::from_millis(5)),
+        )
+        .unwrap();
         assert!(straggler.wait().is_ok());
         match doomed.wait() {
             Err(MulError::DeadlineExceeded { waited }) => {
@@ -1614,38 +1279,6 @@ mod tests {
         let metrics = service.shutdown();
         assert_eq!(metrics.timed_out, 1);
         assert_eq!(metrics.served, 1, "the doomed request must not serve");
-    }
-
-    /// Same race on the async path: the deadline expires inside the
-    /// dispatcher's coalescing window / behind a straggling batch.
-    #[test]
-    fn async_deadline_expiring_in_queue_counts_timed_out() {
-        crate::chaos::install_quiet_panic_hook();
-        let config = ServiceConfig {
-            chaos: Some(crate::chaos::ChaosConfig {
-                straggle_ms: 80,
-                force: vec![(0, crate::chaos::FaultKind::Straggle)],
-                ..crate::chaos::ChaosConfig::default()
-            }),
-            ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
-        let mut rng = rng(24);
-        let x = BigInt::random_bits(&mut rng, 500);
-        let straggler = service.submit_async(x.clone(), x.clone()).unwrap();
-        // Let the dispatcher pick up the straggler batch first.
-        std::thread::sleep(Duration::from_millis(10));
-        let doomed = service
-            .submit_async_with_deadline(x.clone(), x.clone(), Duration::from_millis(5))
-            .unwrap();
-        assert!(straggler.wait().is_ok());
-        match doomed.wait() {
-            Err(MulError::DeadlineExceeded { .. }) => {}
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        let metrics = service.shutdown();
-        assert_eq!(metrics.timed_out, 1);
-        assert_eq!(metrics.served, 1);
     }
 
     #[test]
@@ -1663,7 +1296,7 @@ mod tests {
             want.push(a.mul_schoolbook(&b));
             pairs.push((a, b));
         }
-        let handle = service.submit_many(pairs).unwrap();
+        let handle = service.submit(pairs, None).unwrap();
         assert_eq!(handle.len(), 8);
         let results = handle.wait();
         assert_eq!(results.len(), 8);
@@ -1678,7 +1311,7 @@ mod tests {
     #[test]
     fn submit_many_empty_resolves_immediately() {
         let service = MulService::start(ServiceConfig::default());
-        let handle = service.submit_many(Vec::new()).unwrap();
+        let handle = service.submit(Vec::new(), None).unwrap();
         assert!(handle.is_empty());
         assert_eq!(handle.try_wait().map_err(|_| ()).unwrap(), Vec::new());
         service.shutdown();
@@ -1687,9 +1320,10 @@ mod tests {
     #[test]
     fn submit_many_deadline_covers_every_element() {
         crate::chaos::install_quiet_panic_hook();
-        // The dispatcher grinds a forced straggler first; the bulk
+        // The only worker grinds a forced straggler first; the bulk
         // submission's 5 ms deadline expires in-queue for ALL elements.
         let config = ServiceConfig {
+            workers: 1,
             chaos: Some(crate::chaos::ChaosConfig {
                 straggle_ms: 80,
                 force: vec![(0, crate::chaos::FaultKind::Straggle)],
@@ -1700,12 +1334,12 @@ mod tests {
         let service = MulService::start(config);
         let mut rng = rng(27);
         let x = BigInt::random_bits(&mut rng, 500);
-        let straggler = service.submit_async(x.clone(), x.clone()).unwrap();
+        let straggler = one(&service, x.clone(), x.clone(), None).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let doomed = service
-            .submit_many_with_deadline(
+            .submit(
                 vec![(x.clone(), x.clone()), (x.clone(), x.clone())],
-                Duration::from_millis(5),
+                Some(Duration::from_millis(5)),
             )
             .unwrap();
         assert!(straggler.wait().is_ok());
@@ -1733,7 +1367,7 @@ mod tests {
             })
             .collect();
         let want: Vec<_> = pairs.iter().map(|(a, b)| a.mul_schoolbook(b)).collect();
-        let handle = service.submit_many(pairs).unwrap();
+        let handle = service.submit(pairs, None).unwrap();
         // Shutdown drains the accepted job; every slot must resolve (to
         // the real product here — the drop-guards would resolve lost
         // slots as ServiceStopped instead of hanging the wait).
@@ -1753,14 +1387,13 @@ mod tests {
         let mut rng = rng(33);
         let tiny = BigInt::random_bits(&mut rng, 64);
         let big = BigInt::random_bits(&mut rng, 400_000);
-        // Different size classes: the dispatcher executes the tiny
-        // element's group before the 400kbit blocker's, so slot 0 lands
-        // seconds before slot 1.
+        // Different size classes: the tiny element's group runs on its
+        // own worker and lands long before the 400kbit blocker's.
         let handle = service
-            .submit_many(vec![
-                (tiny.clone(), tiny.clone()),
-                (big.clone(), big.clone()),
-            ])
+            .submit(
+                vec![(tiny.clone(), tiny.clone()), (big.clone(), big.clone())],
+                None,
+            )
             .unwrap();
         assert_eq!(handle.wait_slot(0).unwrap(), tiny.mul_schoolbook(&tiny));
         let handle = match handle.try_wait() {
@@ -1787,7 +1420,7 @@ mod tests {
             want.push(a.mul_schoolbook(&b));
             pairs.push((a, b));
         }
-        let handle = service.submit_many(pairs).unwrap();
+        let handle = service.submit(pairs, None).unwrap();
         let stream = handle.into_iter();
         assert_eq!(stream.len(), 4);
         let mut yielded = 0;
@@ -1802,25 +1435,24 @@ mod tests {
     #[test]
     fn submit_many_queue_full_reports_and_resolves() {
         let config = ServiceConfig {
+            workers: 1,
             kernel_policy: blocker_policy(),
-            batching: crate::config::BatchingConfig {
-                queue_capacity: 1,
-                ..crate::config::BatchingConfig::default()
-            },
+            batching: one_job_rounds(1),
             ..ServiceConfig::default()
         };
         let service = MulService::start(config);
         let mut rng = rng(29);
         let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service.submit_async(big.clone(), big.clone()).unwrap();
+        let blocker = one(&service, big.clone(), big.clone(), None).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let tiny = BigInt::random_bits(&mut rng, 64);
-        // Capacity-1 queue with the dispatcher busy: the first bulk job
-        // parks in the queue, further ones bounce whole.
+        // With the only worker busy, the service holds at most 3 bulk
+        // jobs (hand-off, dispatcher, capacity-1 queue); the rest bounce
+        // whole.
         let mut rejected = 0;
         let mut accepted = Vec::new();
-        for _ in 0..3 {
-            match service.submit_many(vec![(tiny.clone(), tiny.clone()); 4]) {
+        for _ in 0..6 {
+            match service.submit(vec![(tiny.clone(), tiny.clone()); 4], None) {
                 Ok(handle) => accepted.push(handle),
                 Err(e) => {
                     assert_eq!(e, SubmitError::QueueFull { capacity: 1 });
@@ -1828,52 +1460,16 @@ mod tests {
                 }
             }
         }
-        assert!(rejected >= 1, "expected at least one QueueFull");
+        assert!(
+            rejected >= 3,
+            "expected at least 3 QueueFull, got {rejected}"
+        );
         assert_eq!(blocker.wait().unwrap(), big.mul_schoolbook(&big));
         let expect = tiny.mul_schoolbook(&tiny);
         for handle in accepted {
             for result in handle.wait() {
                 assert_eq!(result.unwrap(), expect);
             }
-        }
-        service.shutdown();
-    }
-
-    #[test]
-    fn async_backpressure_reports_queue_full() {
-        let config = ServiceConfig {
-            kernel_policy: blocker_policy(),
-            batching: crate::config::BatchingConfig {
-                queue_capacity: 1,
-                ..crate::config::BatchingConfig::default()
-            },
-            ..ServiceConfig::default()
-        };
-        let service = MulService::start(config);
-        let mut rng = rng(25);
-        let big = BigInt::random_bits(&mut rng, 400_000);
-        let blocker = service.submit_async(big.clone(), big.clone()).unwrap();
-        // Let the dispatcher dequeue the blocker and start grinding.
-        std::thread::sleep(Duration::from_millis(50));
-        let tiny = BigInt::random_bits(&mut rng, 64);
-        // Capacity-1 queue: the first submission parks, further ones
-        // bounce with the async queue's capacity in the error.
-        let mut rejected = 0;
-        let mut accepted = Vec::new();
-        for _ in 0..3 {
-            match service.submit_async(tiny.clone(), tiny.clone()) {
-                Ok(handle) => accepted.push(handle),
-                Err(e) => {
-                    assert_eq!(e, SubmitError::QueueFull { capacity: 1 });
-                    rejected += 1;
-                }
-            }
-        }
-        assert!(rejected >= 1, "expected at least one QueueFull");
-        assert_eq!(blocker.wait().unwrap(), big.mul_schoolbook(&big));
-        let expect = tiny.mul_schoolbook(&tiny);
-        for handle in accepted {
-            assert_eq!(handle.wait().unwrap(), expect);
         }
         service.shutdown();
     }

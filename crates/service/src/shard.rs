@@ -13,10 +13,12 @@
 use crate::config::ServiceConfig;
 use crate::error::SubmitError;
 use crate::metrics::MetricsSnapshot;
-use crate::service::{MulService, ResponseHandle};
-use crate::transport::ShardId;
+use crate::service::{BatchHandle, MulService};
 use ft_bigint::BigInt;
 use std::time::{Duration, Instant};
+
+/// Identity of one shard within a router (dense, `0..shards`).
+pub type ShardId = usize;
 
 struct BeatState {
     /// Beat value the counter froze at (`None` while advancing).
@@ -125,24 +127,21 @@ impl Shard {
         state.frozen.is_some() && state.until.is_none()
     }
 
-    /// Submit one multiplication on the shard's coalescing async path.
+    /// Submit `pairs` as one job to the shard's service (see
+    /// [`MulService::submit`]).
     pub fn submit(
         &self,
-        a: BigInt,
-        b: BigInt,
+        pairs: Vec<(BigInt, BigInt)>,
         deadline: Option<Duration>,
-    ) -> Result<ResponseHandle, SubmitError> {
+    ) -> Result<BatchHandle, SubmitError> {
         match self.service.read().as_ref() {
             None => Err(SubmitError::ShuttingDown),
-            Some(service) => match deadline {
-                None => service.submit_async(a, b),
-                Some(d) => service.submit_async_with_deadline(a, b, d),
-            },
+            Some(service) => service.submit(pairs, deadline),
         }
     }
 
-    /// Current queue depth (saturated = at or past the async queue
-    /// capacity).
+    /// Accepted requests the shard has not started yet; `usize::MAX` once
+    /// the shard is shut down.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         self.service
@@ -204,7 +203,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(shard.beats(), frozen, "killed shard is silent forever");
         assert!(matches!(
-            shard.submit(BigInt::one(), BigInt::one(), None),
+            shard.submit(vec![(BigInt::one(), BigInt::one())], None),
             Err(SubmitError::ShuttingDown)
         ));
         let _ = shard.shutdown();
@@ -220,8 +219,8 @@ mod tests {
         // The shard still serves while silent.
         let a: BigInt = "12345678901234567890".parse().unwrap();
         let b: BigInt = "98765432109876543210".parse().unwrap();
-        let handle = shard.submit(a.clone(), b.clone(), None).unwrap();
-        assert_eq!(handle.wait().unwrap(), a.mul_schoolbook(&b));
+        let handle = shard.submit(vec![(a.clone(), b.clone())], None).unwrap();
+        assert_eq!(handle.wait_slot(0).unwrap(), a.mul_schoolbook(&b));
         std::thread::sleep(Duration::from_millis(25));
         assert!(shard.beats() > frozen, "beats resume after the window");
         assert!(!shard.is_killed());

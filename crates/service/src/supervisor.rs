@@ -14,7 +14,7 @@
 //! same breaker, so a kernel that keeps miscalculating trips it too.
 
 use crate::chaos::{ChaosConfig, FaultKind, INJECTED_PANIC_MSG};
-use crate::config::ConfigError;
+use crate::config::{check_keys, ConfigError};
 use crate::distributed::DistributedBackend;
 use crate::error::MulError;
 use crate::json::{obj, Json};
@@ -23,16 +23,15 @@ use crate::metrics::Metrics;
 use crate::plan_cache::PlanCache;
 use crate::verify::VerifyPolicy;
 use ft_bigint::BigInt;
-use ft_toom_core::{rayon_engine, residue, seq, ToomPlan};
+use ft_toom_core::{residue, seq, ToomPlan};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Per-request retry policy: attempts and exponential backoff bounds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Same-kernel retries after the first attempt fails (the degradation
     /// ladder can add up to two more attempts after these are exhausted).
@@ -54,7 +53,7 @@ impl Default for RetryPolicy {
 }
 
 /// Per-kernel circuit-breaker policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerPolicy {
     /// Consecutive failures that trip the breaker open.
     pub failure_threshold: u32,
@@ -89,9 +88,10 @@ fn policy_u32(json: &Json, prefix: &str, key: &str, default: u32) -> Result<u32,
 
 impl RetryPolicy {
     /// Read a retry policy from a parsed JSON object; absent fields keep
-    /// their defaults.
+    /// their defaults, unknown ones are rejected.
     pub fn from_json(json: &Json) -> Result<RetryPolicy, ConfigError> {
         let d = RetryPolicy::default();
+        check_keys(json, &d.to_json_value(), "retry")?;
         Ok(RetryPolicy {
             max_retries: policy_u32(json, "retry", "max_retries", d.max_retries)?,
             backoff_base_ms: policy_u64(json, "retry", "backoff_base_ms", d.backoff_base_ms)?,
@@ -131,9 +131,10 @@ impl RetryPolicy {
 
 impl BreakerPolicy {
     /// Read a breaker policy from a parsed JSON object; absent fields
-    /// keep their defaults.
+    /// keep their defaults, unknown ones are rejected.
     pub fn from_json(json: &Json) -> Result<BreakerPolicy, ConfigError> {
         let d = BreakerPolicy::default();
+        check_keys(json, &d.to_json_value(), "breaker")?;
         let policy = BreakerPolicy {
             failure_threshold: policy_u32(
                 json,
@@ -381,25 +382,10 @@ impl Supervisor {
         Err(())
     }
 
-    /// Supervised multiplication: returns the verified product and the
+    /// The per-element retry loop: returns the verified product and the
     /// kernel that produced it, or [`MulError::WorkerFault`] once the
-    /// retry budget *and* the degradation ladder are both exhausted.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute(
-        &self,
-        a: &BigInt,
-        b: &BigInt,
-        request: u64,
-        selected: Kernel,
-        policy: &crate::config::KernelPolicy,
-        plans: &PlanCache,
-        metrics: &Metrics,
-    ) -> Result<(BigInt, Kernel), MulError> {
-        self.execute_from(a, b, request, selected, policy, plans, metrics, 0)
-    }
-
-    /// [`Self::execute`] with the attempt counter starting at
-    /// `start_attempt`: the batch path hands its elements here with
+    /// retry budget *and* the degradation ladder are both exhausted. The
+    /// batch entry hands its failed elements here with
     /// `start_attempt == 1` so the failed batch attempt both consumes
     /// retry budget and keeps the chaos attempt sequence monotone (a
     /// fault injected at attempt 0 in the batch is not re-drawn).
@@ -462,8 +448,8 @@ impl Supervisor {
         }
     }
 
-    /// Supervised execution of one coalesced batch. The whole batch is a
-    /// single attempt (one chaos draw per element at attempt 0, one
+    /// Supervised execution of one group — the only entry point; a single
+    /// request is a batch of one. The whole batch is a single attempt (one chaos draw per element at attempt 0, one
     /// `catch_unwind`, one breaker update): if the batch attempt panics,
     /// or individual products fail their residue spot-check, only the
     /// affected elements are re-executed on the individual retry path —
@@ -480,7 +466,6 @@ impl Supervisor {
         policy: &crate::config::KernelPolicy,
         plans: &PlanCache,
         metrics: &Metrics,
-        lanes: usize,
     ) -> Vec<Result<(BigInt, Kernel), MulError>> {
         debug_assert_eq!(pairs.len(), requests.len());
         let kernel = self.effective_kernel(selected, Instant::now());
@@ -501,7 +486,7 @@ impl Supervisor {
                 1,
             )
         };
-        match self.attempt_batch(pairs, requests, kernel, policy, plans, metrics, lanes) {
+        match self.attempt_batch(pairs, requests, kernel, policy, plans, metrics) {
             Ok((products, recovered)) => {
                 // Sound elements resolve from the batch; elements whose
                 // residue check failed inside the attempt retry alone. A
@@ -537,18 +522,15 @@ impl Supervisor {
     /// `Some` for a verified (or unverified-by-config) product, `None` for
     /// one the ladder rejected — plus a flag for whether any element was
     /// served from a ladder recovery; or `Err(())` when the attempt
-    /// panicked.
-    /// Injected panics are never escalated here — the dispatcher thread
-    /// must survive; the escalation path stays on the per-worker
-    /// individual attempts.
+    /// panicked. An injected panic under `escalate_panics` is re-raised
+    /// instead (see [`Self::escalate`]): it kills the worker thread that
+    /// ran the group, and the pool's survivors keep serving.
     ///
-    /// On a single lane the verification is *fused*: each product is
-    /// checked right after its multiplication, while operands and product
-    /// are still cache-hot. A batch big enough to overflow L1 would
-    /// otherwise pay a second cold pass over every element — measured as
-    /// the difference between the batch path losing to and beating the
-    /// per-request baseline. Multi-lane batches verify after the lanes
-    /// join, where each lane's chunk re-walk is the price of parallelism.
+    /// Verification is *fused*: each product is checked right after its
+    /// multiplication, while operands and product are still cache-hot. A
+    /// batch big enough to overflow L1 would otherwise pay a second cold
+    /// pass over every element — measured as the difference between the
+    /// batch path losing to and beating the per-request baseline.
     #[allow(clippy::too_many_arguments)]
     fn attempt_batch(
         &self,
@@ -558,7 +540,6 @@ impl Supervisor {
         policy: &crate::config::KernelPolicy,
         plans: &PlanCache,
         metrics: &Metrics,
-        lanes: usize,
     ) -> Result<(Vec<Option<BigInt>>, bool), ()> {
         let faults: Vec<Option<FaultKind>> = requests
             .iter()
@@ -622,23 +603,16 @@ impl Supervisor {
                     out.push(check(i, backend.multiply(a, b, requests[i], 0, metrics)));
                 }
                 out
-            } else if rayon_engine::effective_lanes(lanes, pairs.len()) <= 1 {
+            } else {
                 let mut out = Vec::with_capacity(pairs.len());
                 kernel.execute_each(pairs, policy, plans, |i, product| {
                     out.push(check(i, product));
                 });
                 out
-            } else {
-                kernel
-                    .execute_batch(pairs, policy, plans, lanes)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, product)| check(i, product))
-                    .collect()
             }
         }))
         .map(|products| (products, recovered.into_inner()))
-        .map_err(|_| ())
+        .map_err(|payload| self.escalate(payload))
     }
 
     /// One supervised attempt: inject chaos, run the kernel under
@@ -695,15 +669,20 @@ impl Supervisor {
                 .verify_ladder(a, b, product, request, kernel, policy, plans, metrics)
                 .map_err(|()| AttemptFailure::BadProduct),
             Err(payload) => {
-                let escalate = self.chaos.as_ref().is_some_and(|c| c.escalate_panics)
-                    && payload_is_injected(payload.as_ref());
-                if escalate {
-                    // Re-raise outside the supervisor: the worker thread
-                    // dies, exercising the dead-worker recovery paths.
-                    panic::resume_unwind(payload);
-                }
+                self.escalate(payload);
                 Err(AttemptFailure::Panicked)
             }
+        }
+    }
+
+    /// Absorb a caught kernel panic — unless it was injected while
+    /// `escalate_panics` is set: then re-raise it outside the supervisor,
+    /// so the worker thread dies and the dead-worker recovery paths run.
+    fn escalate(&self, payload: Box<dyn std::any::Any + Send>) {
+        if self.chaos.as_ref().is_some_and(|c| c.escalate_panics)
+            && payload_is_injected(payload.as_ref())
+        {
+            panic::resume_unwind(payload);
         }
     }
 }
@@ -749,6 +728,27 @@ mod tests {
         )
     }
 
+    /// One request through the batch entry point, as a group of one.
+    fn run_one(
+        sup: &Supervisor,
+        a: &BigInt,
+        b: &BigInt,
+        request: u64,
+        kernel: Kernel,
+        metrics: &Metrics,
+    ) -> Result<(BigInt, Kernel), MulError> {
+        sup.execute_batch(
+            &[(a.clone(), b.clone())],
+            &[request],
+            kernel,
+            &KernelPolicy::default(),
+            &PlanCache::new(2),
+            metrics,
+        )
+        .pop()
+        .expect("one result per element")
+    }
+
     fn small_operands() -> (BigInt, BigInt) {
         let a: BigInt = "123456789123456789123456789".parse().unwrap();
         let b: BigInt = "-98765432198765432198".parse().unwrap();
@@ -760,17 +760,7 @@ mod tests {
         let sup = supervisor_with(None, true);
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        let (product, kernel) = sup
-            .execute(
-                &a,
-                &b,
-                0,
-                Kernel::Schoolbook,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (product, kernel) = run_one(&sup, &a, &b, 0, Kernel::Schoolbook, &metrics).unwrap();
         assert_eq!(product, a.mul_schoolbook(&b));
         assert_eq!(kernel, Kernel::Schoolbook);
         let snap = metrics.snapshot(0, (0, 0));
@@ -789,17 +779,7 @@ mod tests {
         let sup = supervisor_with(Some(chaos), true);
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        let (product, _) = sup
-            .execute(
-                &a,
-                &b,
-                5,
-                Kernel::Schoolbook,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (product, _) = run_one(&sup, &a, &b, 5, Kernel::Schoolbook, &metrics).unwrap();
         assert_eq!(product, a.mul_schoolbook(&b));
         let snap = metrics.snapshot(0, (0, 0));
         assert_eq!(snap.verification_failures, 1);
@@ -817,17 +797,7 @@ mod tests {
         let sup = supervisor_with(Some(chaos), false);
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        let (product, _) = sup
-            .execute(
-                &a,
-                &b,
-                9,
-                Kernel::Schoolbook,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (product, _) = run_one(&sup, &a, &b, 9, Kernel::Schoolbook, &metrics).unwrap();
         assert_eq!(product, a.mul_schoolbook(&b));
         assert_eq!(metrics.snapshot(0, (0, 0)).retries, 1);
     }
@@ -859,17 +829,7 @@ mod tests {
         );
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        let (product, kernel) = sup
-            .execute(
-                &a,
-                &b,
-                0,
-                Kernel::ParToom,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (product, kernel) = run_one(&sup, &a, &b, 0, Kernel::ParToom, &metrics).unwrap();
         assert_eq!(product, a.mul_schoolbook(&b));
         // First attempt on par toom panicked, retries were exhausted, so
         // the ladder forced seq toom; its injected fault only fires on
@@ -881,17 +841,7 @@ mod tests {
         assert_eq!(snap.breaker_opens, 1);
         // A later request sees the open par-toom breaker and degrades
         // immediately without a failure.
-        let (_, kernel2) = sup
-            .execute(
-                &a,
-                &b,
-                1,
-                Kernel::ParToom,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (_, kernel2) = run_one(&sup, &a, &b, 1, Kernel::ParToom, &metrics).unwrap();
         assert_ne!(kernel2, Kernel::ParToom);
     }
 
@@ -918,17 +868,7 @@ mod tests {
         );
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        let err = sup
-            .execute(
-                &a,
-                &b,
-                3,
-                Kernel::ParToom,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap_err();
+        let err = run_one(&sup, &a, &b, 3, Kernel::ParToom, &metrics).unwrap_err();
         // 2 budgeted attempts + forced seq toom + forced schoolbook.
         assert_eq!(err, MulError::WorkerFault { attempts: 4 });
         assert_eq!(metrics.snapshot(0, (0, 0)).worker_faults, 1);
@@ -957,17 +897,7 @@ mod tests {
         );
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        let (product, _) = sup
-            .execute(
-                &a,
-                &b,
-                4,
-                Kernel::Schoolbook,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (product, _) = run_one(&sup, &a, &b, 4, Kernel::Schoolbook, &metrics).unwrap();
         assert_ne!(product, a.mul_schoolbook(&b), "the corruption was served");
         let snap = metrics.snapshot(0, (0, 0));
         assert_eq!(snap.verification_failures, 0, "residue check saw nothing");
@@ -986,17 +916,7 @@ mod tests {
         let sup = supervisor_with_dual(Some(chaos), true);
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        let (product, _) = sup
-            .execute(
-                &a,
-                &b,
-                4,
-                Kernel::Schoolbook,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (product, _) = run_one(&sup, &a, &b, 4, Kernel::Schoolbook, &metrics).unwrap();
         assert_eq!(product, a.mul_schoolbook(&b), "recovered the true product");
         let snap = metrics.snapshot(0, (0, 0));
         // The corruption passed the residue rung, the dual rung disagreed,
@@ -1037,17 +957,7 @@ mod tests {
         let a = BigInt::random_signed_bits(&mut rng, 20_000);
         let b = BigInt::random_signed_bits(&mut rng, 20_000);
         let metrics = Metrics::default();
-        let (product, _) = sup
-            .execute(
-                &a,
-                &b,
-                2,
-                Kernel::SeqToom,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (product, _) = run_one(&sup, &a, &b, 2, Kernel::SeqToom, &metrics).unwrap();
         assert_eq!(product, a.mul_schoolbook(&b));
         let snap = metrics.snapshot(0, (0, 0));
         assert_eq!(snap.verify.dual_failures, 1);
@@ -1071,16 +981,7 @@ mod tests {
         );
         let (a, b) = small_operands();
         let metrics = Metrics::default();
-        sup.execute(
-            &a,
-            &b,
-            0,
-            Kernel::Schoolbook,
-            &KernelPolicy::default(),
-            &PlanCache::new(2),
-            &metrics,
-        )
-        .unwrap();
+        run_one(&sup, &a, &b, 0, Kernel::Schoolbook, &metrics).unwrap();
         assert_eq!(metrics.snapshot(0, (0, 0)).verify.dual_checks, 0);
     }
 
@@ -1112,17 +1013,8 @@ mod tests {
         let (a, b) = small_operands();
         let metrics = Metrics::default();
         for request in 0..3 {
-            let (product, kernel) = sup
-                .execute(
-                    &a,
-                    &b,
-                    request,
-                    Kernel::SeqToom,
-                    &KernelPolicy::default(),
-                    &PlanCache::new(2),
-                    &metrics,
-                )
-                .unwrap();
+            let (product, kernel) =
+                run_one(&sup, &a, &b, request, Kernel::SeqToom, &metrics).unwrap();
             assert_eq!(product, a.mul_schoolbook(&b), "request {request}");
             assert_eq!(kernel, Kernel::SeqToom);
         }
@@ -1130,17 +1022,7 @@ mod tests {
         assert_eq!(snap.verify.recompute_failures, 3);
         assert_eq!(snap.breaker_opens, 1, "third confirmed corruption trips");
         // The next request diverts below the open seq-toom breaker.
-        let (_, kernel) = sup
-            .execute(
-                &a,
-                &b,
-                100,
-                Kernel::SeqToom,
-                &KernelPolicy::default(),
-                &PlanCache::new(2),
-                &metrics,
-            )
-            .unwrap();
+        let (_, kernel) = run_one(&sup, &a, &b, 100, Kernel::SeqToom, &metrics).unwrap();
         assert_eq!(
             kernel,
             Kernel::Schoolbook,
@@ -1166,7 +1048,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             assert_eq!(result.unwrap().0, a.mul_schoolbook(b));
@@ -1205,7 +1086,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             let (product, kernel) = result.unwrap();
@@ -1236,7 +1116,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             assert_eq!(result.unwrap().0, a.mul_schoolbook(b));
@@ -1254,9 +1133,6 @@ mod tests {
         install_quiet_panic_hook();
         let chaos = ChaosConfig {
             force: vec![(1, FaultKind::Panic)],
-            // Escalation must be ignored on the batch path: the
-            // dispatcher thread has to survive the injected panic.
-            escalate_panics: true,
             ..ChaosConfig::default()
         };
         let sup = supervisor_with(Some(chaos), true);
@@ -1269,7 +1145,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for ((a, b), result) in pairs.iter().zip(results) {
             assert_eq!(
@@ -1282,6 +1157,33 @@ mod tests {
         assert_eq!(snap.batch_faults, 1);
         assert_eq!(snap.batch_element_retries, 3, "whole batch re-executed");
         assert_eq!(snap.worker_faults, 0);
+    }
+
+    #[test]
+    fn escalated_batch_panic_unwinds_out_of_the_supervisor() {
+        install_quiet_panic_hook();
+        let chaos = ChaosConfig {
+            force: vec![(1, FaultKind::Panic)],
+            escalate_panics: true,
+            ..ChaosConfig::default()
+        };
+        let sup = supervisor_with(Some(chaos), true);
+        let (pairs, requests) = batch_pairs(3);
+        let metrics = Metrics::default();
+        // The injected panic leaves the batch entry instead of falling
+        // back per element: it is meant to kill the worker thread.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            sup.execute_batch(
+                &pairs,
+                &requests,
+                Kernel::SeqToom,
+                &KernelPolicy::default(),
+                &PlanCache::new(2),
+                &metrics,
+            )
+        }));
+        assert!(outcome.is_err(), "escalated panic must unwind");
+        assert_eq!(metrics.snapshot(0, (0, 0)).batch_element_retries, 0);
     }
 
     #[test]
@@ -1308,7 +1210,6 @@ mod tests {
             &KernelPolicy::default(),
             &PlanCache::new(2),
             &metrics,
-            1,
         );
         for result in results {
             let (_, kernel) = result.unwrap();

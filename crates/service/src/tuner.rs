@@ -149,9 +149,6 @@ mod tests {
     use super::*;
     use crate::config::ServiceConfig;
     use crate::kernel::Kernel;
-    use crate::metrics::Metrics;
-    use crate::plan_cache::PlanCache;
-    use crate::supervisor::Supervisor;
 
     fn empty_stats() -> ClassStats {
         [[(0, 0); SIZE_CLASSES]; 5]
@@ -302,21 +299,7 @@ mod tests {
             tuner: cfg(),
             ..ServiceConfig::default()
         };
-        let shared = Arc::new(Shared {
-            metrics: Metrics::default(),
-            plans: PlanCache::new(2),
-            supervisor: Supervisor::new(
-                config.retry.clone(),
-                config.breaker.clone(),
-                false,
-                crate::verify::VerifyPolicy::default(),
-                None,
-                None,
-            ),
-            live_policy: parking_lot::RwLock::new(config.kernel_policy.clone()),
-            config,
-            killed: std::sync::atomic::AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(config));
         // Class 12 evidence: schoolbook 4× faster than seq toom.
         for _ in 0..20 {
             shared

@@ -17,14 +17,13 @@
 //! in [`crate::supervisor`], metered per rung in
 //! [`crate::metrics::VerifySnapshot`].
 
-use crate::config::{field_u32, field_u64, field_usize, ConfigError};
+use crate::config::{check_keys, field_u32, field_u64, field_usize, ConfigError};
 use crate::json::{obj, Json};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// JSON-loadable policy for the dual-algorithm verification rung.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyPolicy {
     /// Dual-check sampling rate per 10 000 requests (0 disables the rung,
     /// 10 000 checks every request). Sampling is deterministic in
@@ -95,6 +94,7 @@ impl VerifyPolicy {
     /// defaults.
     pub fn from_json(json: &Json) -> Result<VerifyPolicy, ConfigError> {
         let d = VerifyPolicy::default();
+        check_keys(json, &d.to_json_value(), "verify")?;
         let breaker_on_mismatch = match json.get("breaker_on_mismatch") {
             None => d.breaker_on_mismatch,
             Some(v) => v.as_bool().ok_or_else(|| {

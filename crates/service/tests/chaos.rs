@@ -15,8 +15,8 @@
 use ft_bigint::BigInt;
 use ft_service::chaos::FaultKind;
 use ft_service::{
-    install_quiet_panic_hook, BreakerPolicy, ChaosConfig, CorruptionKind, KernelPolicy, MulService,
-    RetryPolicy, ServiceConfig, SubmitError, VerifyPolicy,
+    install_quiet_panic_hook, BatchingConfig, BreakerPolicy, ChaosConfig, CorruptionKind,
+    KernelPolicy, MulService, RetryPolicy, Router, ServiceConfig, SubmitError, VerifyPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,9 +24,9 @@ use std::time::Duration;
 
 /// Bounded queues are part of the design: on transient backpressure keep
 /// trying instead of dropping the request on the floor.
-fn submit_with_backoff(service: &MulService, a: BigInt, b: BigInt) -> ft_service::ResponseHandle {
+fn submit_with_backoff(router: &Router, a: BigInt, b: BigInt) -> ft_service::ResponseHandle {
     loop {
-        match service.submit(a.clone(), b.clone()) {
+        match router.submit(a.clone(), b.clone()) {
             Ok(handle) => return handle,
             Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
             Err(SubmitError::ShuttingDown) => unreachable!("service is not shutting down"),
@@ -71,6 +71,20 @@ fn mixed_kernel_policy() -> KernelPolicy {
     }
 }
 
+/// One request per dispatcher round, so every request runs as a group of
+/// one. The exact per-request tallies below (every corruption caught by
+/// the residue rung, a reproducible injected-fault count) hold only then:
+/// in a coalesced group a sibling's injected panic kills the shared
+/// attempt before a drawn corruption is applied, and the failed elements
+/// draw again at attempt 1. `batched_chaos_run_survives` covers
+/// coalesced groups with the matching bounds.
+fn per_request() -> BatchingConfig {
+    BatchingConfig {
+        max_batch: 1,
+        ..BatchingConfig::default()
+    }
+}
+
 fn chaos_config(seed: u64) -> ChaosConfig {
     ChaosConfig {
         seed,
@@ -105,9 +119,10 @@ fn five_hundred_request_chaos_run_survives() {
             failure_threshold: 1,
             open_ms: 20,
         },
+        batching: per_request(),
         ..ServiceConfig::default()
     };
-    let service = MulService::start(config);
+    let router = Router::single(MulService::start(config));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let mut pending = Vec::new();
     for i in 0..500u64 {
@@ -116,7 +131,7 @@ fn five_hundred_request_chaos_run_survives() {
         let a = BigInt::random_signed_bits(&mut rng, bits);
         let b = BigInt::random_signed_bits(&mut rng, bits);
         let expect = a.mul_schoolbook(&b);
-        pending.push((submit_with_backoff(&service, a, b), expect));
+        pending.push((submit_with_backoff(&router, a, b), expect));
     }
     // Zero handles may hang; the bound is generous but finite.
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
@@ -128,7 +143,7 @@ fn five_hundred_request_chaos_run_survives() {
             Err(_) => panic!("request {i} hung past the timeout"),
         }
     }
-    let metrics = service.shutdown();
+    let metrics = router.shutdown();
     assert_eq!(metrics.served, 500);
     assert_eq!(metrics.worker_faults, 0, "no request exhausted recovery");
     let injected: u64 = metrics.injected_faults.iter().map(|&(_, n)| n).sum();
@@ -195,9 +210,10 @@ fn ntt_chaos_run_survives() {
             failure_threshold: 1,
             open_ms: 20,
         },
+        batching: per_request(),
         ..ServiceConfig::default()
     };
-    let service = MulService::start(config);
+    let router = Router::single(MulService::start(config));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x277);
     let mut pending = Vec::new();
     for i in 0..200u64 {
@@ -208,7 +224,7 @@ fn ntt_chaos_run_survives() {
         let a = BigInt::random_signed_bits(&mut rng, bits);
         let b = BigInt::random_signed_bits(&mut rng, bits);
         let expect = a.mul_schoolbook(&b);
-        pending.push((submit_with_backoff(&service, a, b), expect));
+        pending.push((submit_with_backoff(&router, a, b), expect));
     }
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
         match handle.wait_timeout(Duration::from_secs(300)) {
@@ -219,7 +235,7 @@ fn ntt_chaos_run_survives() {
             Err(_) => panic!("request {i} hung past the timeout"),
         }
     }
-    let metrics = service.shutdown();
+    let metrics = router.shutdown();
     assert_eq!(metrics.served, 200);
     assert_eq!(metrics.worker_faults, 0, "no request exhausted recovery");
     let ntt_served = metrics
@@ -253,23 +269,8 @@ fn ntt_chaos_run_survives() {
     }
 }
 
-/// Async-path analogue of [`submit_with_backoff`].
-fn submit_async_with_backoff(
-    service: &MulService,
-    a: BigInt,
-    b: BigInt,
-) -> ft_service::ResponseHandle {
-    loop {
-        match service.submit_async(a.clone(), b.clone()) {
-            Ok(handle) => return handle,
-            Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
-            Err(SubmitError::ShuttingDown) => unreachable!("service is not shutting down"),
-        }
-    }
-}
-
-/// The batched acceptance run: the same fault plan pushed through
-/// `submit_async`, where the dispatcher coalesces same-class requests
+/// The batched acceptance run: the same fault plan with a coalescing
+/// window wide enough that the dispatcher merges same-class requests
 /// into single supervised batches. A fault injected into one batch
 /// element must never fail an uninjured neighbour — every request still
 /// resolves to a verified-correct product.
@@ -292,12 +293,12 @@ fn batched_chaos_run_survives() {
             failure_threshold: 1,
             open_ms: 20,
         },
-        batching: ft_service::BatchingConfig {
+        batching: BatchingConfig {
             // A generous window so a single fast submitter reliably lands
             // companions in each round.
             window_us: 20_000,
             max_batch: 16,
-            ..ft_service::BatchingConfig::default()
+            ..BatchingConfig::default()
         },
         tuner: ft_service::TunerConfig {
             enabled: false,
@@ -305,7 +306,7 @@ fn batched_chaos_run_survives() {
         },
         ..ServiceConfig::default()
     };
-    let service = MulService::start(config);
+    let router = Router::single(MulService::start(config));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xba7c4);
     // Precompute the workload so submission is tight enough to coalesce.
     let workload: Vec<(BigInt, BigInt, BigInt)> = (0..300u64)
@@ -319,7 +320,7 @@ fn batched_chaos_run_survives() {
         .collect();
     let mut pending = Vec::new();
     for (a, b, expect) in workload {
-        pending.push((submit_async_with_backoff(&service, a, b), expect));
+        pending.push((submit_with_backoff(&router, a, b), expect));
     }
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
         match handle.wait_timeout(Duration::from_secs(300)) {
@@ -330,7 +331,7 @@ fn batched_chaos_run_survives() {
             Err(_) => panic!("request {i} hung past the timeout"),
         }
     }
-    let metrics = service.shutdown();
+    let metrics = router.shutdown();
     assert_eq!(metrics.served, 300);
     assert_eq!(metrics.worker_faults, 0, "no request exhausted recovery");
     assert!(metrics.batches > 0, "nothing coalesced — window too tight?");
@@ -373,22 +374,23 @@ fn chaos_runs_are_reproducible_for_a_seed() {
                 failure_threshold: 1,
                 open_ms: 10,
             },
+            batching: per_request(),
             ..ServiceConfig::default()
         };
-        let service = MulService::start(config);
+        let router = Router::single(MulService::start(config));
         let mut rng = StdRng::seed_from_u64(seed);
         let handles: Vec<_> = (0..100u64)
             .map(|i| {
                 let bits = [1_500, 5_000][(i % 2) as usize];
                 let a = BigInt::random_signed_bits(&mut rng, bits);
                 let b = BigInt::random_signed_bits(&mut rng, bits);
-                submit_with_backoff(&service, a, b)
+                submit_with_backoff(&router, a, b)
             })
             .collect();
         for handle in handles {
             handle.wait().unwrap();
         }
-        service.shutdown()
+        router.shutdown()
     };
     let seed = chaos_seed();
     let first = run(seed);

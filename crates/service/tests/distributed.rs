@@ -84,7 +84,7 @@ fn promoted_batch_recovers_injected_faults_on_the_coded_machine() {
     };
     let service = MulService::start(config);
     let (pairs, want) = batch(6, chaos_seed() ^ 0xd157);
-    let handle = service.submit_many(pairs).unwrap();
+    let handle = service.submit(pairs, None).unwrap();
     for (i, (result, want)) in handle.wait().into_iter().zip(want).enumerate() {
         assert_eq!(result.unwrap(), want, "element {i} must be bit-exact");
     }
@@ -142,7 +142,7 @@ fn unrecoverable_faults_degrade_to_local_kernels() {
     };
     let service = MulService::start(config);
     let (pairs, want) = batch(4, chaos_seed() ^ 0xfa11);
-    let handle = service.submit_many(pairs).unwrap();
+    let handle = service.submit(pairs, None).unwrap();
     for (i, (result, want)) in handle.wait().into_iter().zip(want).enumerate() {
         assert_eq!(result.unwrap(), want, "element {i} must be bit-exact");
     }
@@ -180,7 +180,7 @@ fn disabled_backend_never_promotes() {
     };
     let service = MulService::start(config);
     let (pairs, want) = batch(4, 9);
-    let handle = service.submit_many(pairs).unwrap();
+    let handle = service.submit(pairs, None).unwrap();
     for (result, want) in handle.wait().into_iter().zip(want) {
         assert_eq!(result.unwrap(), want);
     }

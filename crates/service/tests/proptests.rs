@@ -2,7 +2,7 @@
 //! concurrency, every product the service returns equals schoolbook.
 
 use ft_bigint::BigInt;
-use ft_service::{KernelPolicy, MulService, ServiceConfig};
+use ft_service::{BatchingConfig, KernelPolicy, MulService, ServiceConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -19,7 +19,7 @@ proptest! {
     fn results_equal_schoolbook_across_policies(
         seed in any::<u64>(),
         workers in 1usize..5,
-        batch_max in 1usize..24,
+        max_batch in 1usize..24,
         queue_capacity in 8usize..64,
         schoolbook_max_bits in 256u64..4_096,
         seq_span in 4_096u64..24_576,
@@ -27,8 +27,11 @@ proptest! {
     ) {
         let config = ServiceConfig {
             workers,
-            batch_max,
-            queue_capacity,
+            batching: BatchingConfig {
+                max_batch,
+                queue_capacity,
+                ..BatchingConfig::default()
+            },
             kernel_policy: KernelPolicy {
                 schoolbook_max_bits,
                 seq_toom_max_bits: schoolbook_max_bits + seq_span,
@@ -43,11 +46,11 @@ proptest! {
             let a = random_operand(&mut rng, 30_000);
             let b = random_operand(&mut rng, 30_000);
             let want = a.mul_schoolbook(&b);
-            // Capacity 8+ per worker and bounded request count: submission
-            // may still hit backpressure under a slow scheduler, so retry
-            // through the blocking path rather than assert acceptance.
+            // Capacity 8+ and bounded request count: submission may still
+            // hit backpressure under a slow scheduler, so retry rather
+            // than assert acceptance.
             let handle = loop {
-                match service.submit(a.clone(), b.clone()) {
+                match service.submit(vec![(a.clone(), b.clone())], None) {
                     Ok(h) => break h,
                     Err(_) => std::thread::yield_now(),
                 }
@@ -55,7 +58,7 @@ proptest! {
             pending.push((handle, want));
         }
         for (handle, want) in pending {
-            prop_assert_eq!(handle.wait().unwrap(), want);
+            prop_assert_eq!(handle.wait_slot(0).unwrap(), want);
         }
         let metrics = service.shutdown();
         prop_assert_eq!(metrics.served, requests as u64);
@@ -93,12 +96,12 @@ proptest! {
                         let b = random_operand(&mut rng, 8_000);
                         let want = a.mul_schoolbook(&b);
                         let handle = loop {
-                            match service.submit(a.clone(), b.clone()) {
+                            match service.submit(vec![(a.clone(), b.clone())], None) {
                                 Ok(h) => break h,
                                 Err(_) => std::thread::yield_now(),
                             }
                         };
-                        assert_eq!(handle.wait().unwrap(), want);
+                        assert_eq!(handle.wait_slot(0).unwrap(), want);
                     }
                 }));
             }

@@ -99,7 +99,6 @@ fn shard_death_is_detected_and_survived_by_failover() {
         ServiceConfig {
             workers: 1,
             kernel_policy: schoolbook_only(),
-            queue_capacity: 64,
             ..ServiceConfig::default()
         },
     ));
@@ -217,7 +216,6 @@ fn hot_shard_work_is_stolen_by_an_idle_sibling() {
             workers: 1,
             verify_residues: false,
             kernel_policy: schoolbook_only(),
-            queue_capacity: 64,
             ..ServiceConfig::default()
         },
         ..ShardConfig::default()
@@ -266,8 +264,8 @@ fn router_sheds_only_when_all_live_shards_are_saturated() {
             workers: 1,
             verify_residues: false,
             kernel_policy: schoolbook_only(),
-            // The router submits on the async path: its admission gate is
-            // the central async queue, so that is the capacity to squeeze.
+            // The admission gate is the submission queue; one job per
+            // round keeps what each shard can hold past it to two.
             batching: ft_service::BatchingConfig {
                 queue_capacity: 2,
                 max_batch: 1,

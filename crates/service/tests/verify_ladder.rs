@@ -16,7 +16,7 @@ use ft_bigint::BigInt;
 use ft_service::chaos::FaultKind;
 use ft_service::{
     install_quiet_panic_hook, BreakerPolicy, ChaosConfig, CorruptionKind, DistributedConfig,
-    KernelPolicy, MulService, ServiceConfig, SubmitError, VerifyPolicy,
+    KernelPolicy, MulService, Router, ServiceConfig, SubmitError, VerifyPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,9 +55,9 @@ fn dual_always() -> VerifyPolicy {
     }
 }
 
-fn submit_with_backoff(service: &MulService, a: BigInt, b: BigInt) -> ft_service::ResponseHandle {
+fn submit_with_backoff(router: &Router, a: BigInt, b: BigInt) -> ft_service::ResponseHandle {
     loop {
-        match service.submit(a.clone(), b.clone()) {
+        match router.submit(a.clone(), b.clone()) {
             Ok(handle) => return handle,
             Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
             Err(SubmitError::ShuttingDown) => unreachable!("service is not shutting down"),
@@ -81,7 +81,7 @@ fn dual_rung_serves_zero_corrupt_responses_under_evading_chaos() {
         chaos: Some(evading_chaos(seed)),
         ..ServiceConfig::default()
     };
-    let service = MulService::start(config);
+    let router = Router::single(MulService::start(config));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1adde5);
     let mut pending = Vec::new();
     for i in 0..200u64 {
@@ -89,7 +89,7 @@ fn dual_rung_serves_zero_corrupt_responses_under_evading_chaos() {
         let a = BigInt::random_signed_bits(&mut rng, bits);
         let b = BigInt::random_signed_bits(&mut rng, bits);
         let expect = a.mul_schoolbook(&b);
-        pending.push((submit_with_backoff(&service, a, b), expect));
+        pending.push((submit_with_backoff(&router, a, b), expect));
     }
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
         let product = handle
@@ -98,7 +98,7 @@ fn dual_rung_serves_zero_corrupt_responses_under_evading_chaos() {
             .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
         assert_eq!(product, expect, "request {i} served a corrupt product");
     }
-    let metrics = service.shutdown();
+    let metrics = router.shutdown();
     assert_eq!(metrics.served, 200);
     assert_eq!(metrics.worker_faults, 0);
     let corruptions = metrics.injected_faults[FaultKind::Corrupt as usize].1;
@@ -140,7 +140,7 @@ fn residue_only_config_misses_evading_corruptions() {
         chaos: Some(evading_chaos(seed)),
         ..ServiceConfig::default()
     };
-    let service = MulService::start(config);
+    let router = Router::single(MulService::start(config));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1adde5);
     let mut pending = Vec::new();
     for i in 0..200u64 {
@@ -148,7 +148,7 @@ fn residue_only_config_misses_evading_corruptions() {
         let a = BigInt::random_signed_bits(&mut rng, bits);
         let b = BigInt::random_signed_bits(&mut rng, bits);
         let expect = a.mul_schoolbook(&b);
-        pending.push((submit_with_backoff(&service, a, b), expect));
+        pending.push((submit_with_backoff(&router, a, b), expect));
     }
     let mut wrong = 0u64;
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
@@ -160,7 +160,7 @@ fn residue_only_config_misses_evading_corruptions() {
             wrong += 1;
         }
     }
-    let metrics = service.shutdown();
+    let metrics = router.shutdown();
     let corruptions = metrics.injected_faults[FaultKind::Corrupt as usize].1;
     assert!(corruptions > 0, "seed {seed} injected no corruptions");
     assert_eq!(
@@ -175,7 +175,7 @@ fn residue_only_config_misses_evading_corruptions() {
     assert_eq!(metrics.residue_checks, 200, "yet every product was checked");
 }
 
-/// The coalesced batch path: `submit_many` elements ride the dispatcher's
+/// The coalesced batch path: a multi-pair job's elements ride one
 /// batch attempt, where the ladder verifies each product fused with its
 /// multiplication. Corrupt elements are recovered in place — no element
 /// falls back to the individual retry path.
@@ -212,7 +212,7 @@ fn batched_elements_are_recovered_in_place() {
             ((a, b), expect)
         })
         .unzip();
-    let handle = service.submit_many(pairs).unwrap();
+    let handle = service.submit(pairs, None).unwrap();
     for (i, (result, want)) in handle.wait().into_iter().zip(want).enumerate() {
         assert_eq!(result.unwrap(), want, "element {i} must be bit-exact");
     }
@@ -274,7 +274,7 @@ fn distributed_responses_ride_the_ladder() {
             ((a, b), expect)
         })
         .unzip();
-    let handle = service.submit_many(pairs).unwrap();
+    let handle = service.submit(pairs, None).unwrap();
     for (i, (result, want)) in handle.wait().into_iter().zip(want).enumerate() {
         assert_eq!(result.unwrap(), want, "element {i} must be bit-exact");
     }
@@ -316,7 +316,7 @@ fn repeat_offenders_trip_the_breaker() {
         },
         ..ServiceConfig::default()
     };
-    let service = MulService::start(config);
+    let router = Router::single(MulService::start(config));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0ffe);
     let mut pending = Vec::new();
     for _ in 0..10 {
@@ -324,7 +324,7 @@ fn repeat_offenders_trip_the_breaker() {
         let a = BigInt::random_signed_bits(&mut rng, 4_000);
         let b = BigInt::random_signed_bits(&mut rng, 4_000);
         let expect = a.mul_schoolbook(&b);
-        pending.push((submit_with_backoff(&service, a, b), expect));
+        pending.push((submit_with_backoff(&router, a, b), expect));
     }
     for (i, (handle, expect)) in pending.into_iter().enumerate() {
         let product = handle
@@ -333,7 +333,7 @@ fn repeat_offenders_trip_the_breaker() {
             .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
         assert_eq!(product, expect, "request {i}");
     }
-    let metrics = service.shutdown();
+    let metrics = router.shutdown();
     assert!(
         metrics.breaker_opens >= 1,
         "three confirmed corruptions must trip the seq-toom breaker"

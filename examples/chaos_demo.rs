@@ -74,7 +74,7 @@ fn run(label: &str, chaos: Option<ChaosConfig>) {
         let want = a.mul_schoolbook(&b);
         // Bounded queues: retry rather than drop on transient pressure.
         let handle = loop {
-            match service.submit(a.clone(), b.clone()) {
+            match service.submit(vec![(a.clone(), b.clone())], None) {
                 Ok(h) => break h,
                 Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
                 Err(SubmitError::ShuttingDown) => unreachable!("service is not shutting down"),
@@ -84,7 +84,7 @@ fn run(label: &str, chaos: Option<ChaosConfig>) {
     }
     let mut verified = 0usize;
     for (handle, want) in pending {
-        let product = handle.wait().expect("request must survive the chaos");
+        let product = handle.wait_slot(0).expect("request must survive the chaos");
         assert_eq!(product, want, "service returned a wrong product");
         verified += 1;
     }

@@ -79,7 +79,9 @@ fn survivable_run() {
     };
     let service = MulService::start(config);
     let (pairs, want) = workload(7);
-    let handle = service.submit_many(pairs).expect("queue accepts the batch");
+    let handle = service
+        .submit(pairs, None)
+        .expect("queue accepts the batch");
     // Streaming consumption: results arrive in submission order, each as
     // soon as its slot resolves.
     for (i, (result, want)) in handle.into_iter().zip(want).enumerate() {
@@ -118,7 +120,9 @@ fn unrecoverable_run() {
     };
     let service = MulService::start(config);
     let (pairs, want) = workload(11);
-    let handle = service.submit_many(pairs).expect("queue accepts the batch");
+    let handle = service
+        .submit(pairs, None)
+        .expect("queue accepts the batch");
     for (result, want) in handle.wait().into_iter().zip(want) {
         assert_eq!(result.expect("degradation must serve the request"), want);
     }

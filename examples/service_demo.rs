@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example service_demo`.
 
 use ft_toom::ft_bigint::BigInt;
-use ft_toom::ft_service::{KernelPolicy, MulService, ServiceConfig, SubmitError};
+use ft_toom::ft_service::{BatchingConfig, KernelPolicy, MulService, ServiceConfig, SubmitError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Duration;
@@ -24,8 +24,6 @@ fn main() {
 fn healthy_run() {
     let config = ServiceConfig {
         workers: 4,
-        queue_capacity: 256,
-        batch_max: 16,
         kernel_policy: KernelPolicy {
             // Thresholds pulled down so the 1..32000-bit workload
             // exercises all three kernels.
@@ -54,7 +52,7 @@ fn healthy_run() {
                         // Bounded queues: retry rather than drop on
                         // transient pressure.
                         let handle = loop {
-                            match service.submit(a.clone(), b.clone()) {
+                            match service.submit(vec![(a.clone(), b.clone())], None) {
                                 Ok(h) => break h,
                                 Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
                                 Err(SubmitError::ShuttingDown) => {
@@ -62,7 +60,7 @@ fn healthy_run() {
                                 }
                             }
                         };
-                        assert_eq!(handle.wait().unwrap(), want, "product mismatch");
+                        assert_eq!(handle.wait_slot(0).unwrap(), want, "product mismatch");
                         ok += 1;
                     }
                     ok
@@ -79,20 +77,27 @@ fn healthy_run() {
     println!("verified {verified} products against schoolbook");
     println!("metrics: {}", metrics.to_json());
     assert_eq!(verified, SUBMITTERS * REQUESTS_PER_THREAD);
+    // The 1..32000-bit workload spans the three local bands; the NTT band
+    // starts at 8 Mbit and the distributed rung is never selected by size.
     for (name, count) in metrics.per_kernel {
-        assert!(count > 0, "kernel {name} was never selected");
+        if ["schoolbook", "seq_toom", "par_toom"].contains(&name) {
+            assert!(count > 0, "kernel {name} was never selected");
+        }
     }
     println!("all three kernels selected ✓\n");
 }
 
-/// Phase 2: one worker, a depth-1 queue, a zero-tolerance shed bound, and
-/// millisecond deadlines — enough starvation to surface every typed
-/// rejection path.
+/// Phase 2: one worker, a depth-1 queue, one job per dispatcher round, a
+/// zero-tolerance shed bound, and millisecond deadlines — enough
+/// starvation to surface every typed rejection path.
 fn starved_run() {
     let config = ServiceConfig {
         workers: 1,
-        queue_capacity: 1,
-        batch_max: 4,
+        batching: BatchingConfig {
+            queue_capacity: 1,
+            max_batch: 1,
+            ..BatchingConfig::default()
+        },
         shed_after_ms: Some(0),
         kernel_policy: KernelPolicy {
             // Everything through schoolbook so the blocker is slow.
@@ -108,10 +113,11 @@ fn starved_run() {
     // A large schoolbook product occupies the only worker for ~100 ms.
     let big = BigInt::random_bits(&mut rng, 600_000);
     let blocker = service
-        .submit_with_deadline(big.clone(), big, Duration::from_secs(3600))
+        .submit(vec![(big.clone(), big)], Some(Duration::from_secs(3600)))
         .expect("blocker should be accepted");
-    // Give the worker time to dequeue the blocker and start grinding, so
-    // the depth-1 queue is empty for exactly one of the submits below.
+    // Give the worker time to start grinding the blocker: then the service
+    // holds exactly three of the submits below (one in the hand-off to the
+    // worker, one in the dispatcher's hands, one in the depth-1 queue).
     std::thread::sleep(Duration::from_millis(10));
 
     let tiny = BigInt::random_bits(&mut rng, 64);
@@ -119,20 +125,23 @@ fn starved_run() {
     let mut outcomes = Vec::new();
     for _ in 0..16 {
         // 1 ms deadline, but the worker is busy for ~100 ms: whichever
-        // submit wins the single queue slot must time out.
-        match service.submit_with_deadline(tiny.clone(), tiny.clone(), Duration::from_millis(1)) {
+        // submits the service holds must time out.
+        match service.submit(
+            vec![(tiny.clone(), tiny.clone())],
+            Some(Duration::from_millis(1)),
+        ) {
             Ok(handle) => outcomes.push(handle),
             Err(SubmitError::QueueFull { .. }) => queue_full += 1,
             Err(SubmitError::ShuttingDown) => unreachable!("not shutting down"),
         }
     }
-    let _ = blocker.wait().expect("blocker computes fine");
-    // The blocker is done, but the one queued tiny may still hold the
-    // depth-1 slot until the worker dequeues (and expires) it — retry
-    // until the slot frees. The accepted request's queue age
-    // (microseconds) still exceeds the 0 ms shed bound.
+    let _ = blocker.wait_slot(0).expect("blocker computes fine");
+    // The blocker is done, but the held tinies may still fill the depth-1
+    // queue until the worker starts (and expires) them — retry until the
+    // slot frees. The accepted request's queue age (microseconds) still
+    // exceeds the 0 ms shed bound.
     outcomes.push(loop {
-        match service.submit(tiny.clone(), tiny.clone()) {
+        match service.submit(vec![(tiny.clone(), tiny.clone())], None) {
             Ok(handle) => break handle,
             Err(SubmitError::QueueFull { .. }) => std::thread::yield_now(),
             Err(SubmitError::ShuttingDown) => unreachable!("not shutting down"),
@@ -141,7 +150,7 @@ fn starved_run() {
 
     let (mut timed_out, mut shed, mut served) = (0usize, 0usize, 0usize);
     for handle in outcomes {
-        match handle.wait() {
+        match handle.wait_slot(0) {
             Ok(_) => served += 1,
             Err(e) if e.to_string().contains("deadline") => timed_out += 1,
             Err(_) => shed += 1,

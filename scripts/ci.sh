@@ -20,10 +20,10 @@ echo "== kernel bench smoke (--quick, counting allocator) =="
 cargo run --release -q -p ft-bench --features count-allocs --bin kernel_baseline -- --quick
 
 echo "== batch throughput smoke (--quick) =="
-# Reduced run of the async/bulk batching bench: asserts every request is
-# served and residue-verified through both the per-request and coalesced
-# paths. The ≥1.3x speedup acceptance is the full run's job (it also
-# rewrites BENCH_service.json).
+# Reduced run of the batching bench: asserts every request is served and
+# residue-verified through both one-pair and 64-pair jobs. The ≥1.3x
+# speedup acceptance is the full run's job (it also rewrites
+# BENCH_service.json).
 cargo run --release -q -p ft-bench --bin batch_throughput -- --quick
 
 echo "== HTTP e2e smoke (real sockets, ephemeral port) =="
@@ -52,6 +52,13 @@ echo "== sharded router suite (placement, stealing, stall/rejoin) =="
 # shard kills, hot-shard work stealing, saturation-only shedding, and
 # the stall -> dead -> rejoin lifecycle.
 cargo test -p ft-service --test router -q
+
+echo "== worker pool (head-of-line, escalated panic) =="
+# The one execution path behind Router::single: a 2 kbit request behind a
+# running 600 kbit job resolves bit-exact while the job still runs (the
+# dispatcher only groups; another worker serves it), and an escalated
+# injected panic kills one worker while the survivor keeps serving.
+cargo test -p ft-service --test worker_pool -q -- --nocapture
 
 echo "== HTTP load generator smoke (--quick, closed + open loop) =="
 # Reduced loadgen runs: 2 client threads over real keep-alive
