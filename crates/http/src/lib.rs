@@ -133,14 +133,7 @@ impl HttpServer {
     /// Connection-level counters of the underlying socket server.
     #[must_use]
     pub fn net_stats(&self) -> prom::NetStats {
-        prom::NetStats {
-            active_connections: self.net.active_connections(),
-            total_connections: self.net.total_connections(),
-            parse_errors: self.net.parse_errors(),
-            accept_errors: self.net.accept_errors(),
-            rejected_over_cap: self.net.rejected_over_cap(),
-            request_timeouts: self.net.request_timeouts(),
-        }
+        net_stats(&self.net.stats())
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight connections
@@ -172,8 +165,21 @@ impl HttpServer {
     }
 }
 
+/// Sample the socket server's connection counters.
+fn net_stats(stats: &ft_net::ServerStats) -> prom::NetStats {
+    prom::NetStats {
+        active_connections: stats.active_connections(),
+        total_connections: stats.total_connections(),
+        parse_errors: stats.parse_errors(),
+        accept_errors: stats.accept_errors(),
+        rejected_over_cap: stats.rejected_over_cap(),
+        request_timeouts: stats.request_timeouts(),
+    }
+}
+
 /// Route a parsed request, returning `(route label, status)` for the
-/// HTTP metrics layer.
+/// HTTP metrics layer. Unknown paths and bad methods aggregate under the
+/// `"other"` label, so a path-scanning client cannot grow the label set.
 fn dispatch(
     state: &AppState,
     req: &ft_net::Request,
@@ -223,18 +229,7 @@ fn dispatch(
             Ok(("metrics_json", 200))
         }
         ("GET", "/metrics") => {
-            let net = state
-                .net_stats
-                .get()
-                .map(|s| prom::NetStats {
-                    active_connections: s.active_connections(),
-                    total_connections: s.total_connections(),
-                    parse_errors: s.parse_errors(),
-                    accept_errors: s.accept_errors(),
-                    rejected_over_cap: s.rejected_over_cap(),
-                    request_timeouts: s.request_timeouts(),
-                })
-                .unwrap_or_default();
+            let net = state.net_stats.get().map(net_stats).unwrap_or_default();
             let body = prom::render(
                 &state.router.metrics(),
                 &state.http_metrics.snapshot(),

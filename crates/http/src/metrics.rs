@@ -10,64 +10,41 @@
 //! service's completion latency is the HTTP overhead (parse, JSON,
 //! socket writes).
 
-use ft_service::metrics::LATENCY_BUCKET_BOUNDS_US;
+use ft_service::metrics::{latency_bucket, LATENCY_BUCKETS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// One histogram bucket per finite bound plus the overflow bucket.
-pub const BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
-
-/// The fixed route labels. Unknown paths and bad methods aggregate under
-/// `"other"` so a path-scanning client cannot grow the label set.
-pub const ROUTES: [&str; 7] = [
-    "mul",
-    "mul_batch",
-    "config",
-    "metrics",
-    "metrics_json",
-    "healthz",
-    "other",
-];
+use std::sync::{Mutex, PoisonError};
 
 /// Live HTTP-layer counters, updated by the request handler.
 #[derive(Debug, Default)]
 pub struct HttpMetrics {
-    /// (route, status) → completed exchanges.
-    by_status: Mutex<BTreeMap<(&'static str, u16), u64>>,
-    /// Per-route duration histograms (µs), same bounds as the service.
-    histograms: Mutex<BTreeMap<&'static str, Histo>>,
+    /// Per-route tallies, under one lock so a snapshot is consistent.
+    routes: Mutex<Routes>,
     /// Batch result lines streamed over chunked responses.
     streamed_results: AtomicU64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Histo {
-    buckets: [u64; BUCKETS],
-    sum_us: u64,
-    count: u64,
+#[derive(Debug, Default)]
+struct Routes {
+    /// (route, status) → completed exchanges.
+    by_status: BTreeMap<(&'static str, u16), u64>,
+    /// Per-route duration histograms (µs), same bounds as the service.
+    histograms: BTreeMap<&'static str, HttpHistogramRow>,
 }
 
 impl HttpMetrics {
     /// Record one finished exchange on `route` with `status`, taking
     /// `elapsed_us` from request-parsed to response-flushed.
     pub fn record(&self, route: &'static str, status: u16, elapsed_us: u64) {
-        *self
-            .by_status
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry((route, status))
-            .or_insert(0) += 1;
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let h = map.entry(route).or_default();
-        let idx = LATENCY_BUCKET_BOUNDS_US
-            .iter()
-            .position(|&b| elapsed_us <= b)
-            .unwrap_or(BUCKETS - 1);
-        h.buckets[idx] += 1;
+        let mut routes = self.routes.lock().unwrap_or_else(PoisonError::into_inner);
+        *routes.by_status.entry((route, status)).or_insert(0) += 1;
+        let h = routes.histograms.entry(route).or_insert(HttpHistogramRow {
+            route,
+            buckets: [0; LATENCY_BUCKETS],
+            sum_us: 0,
+            count: 0,
+        });
+        h.buckets[latency_bucket(elapsed_us)] += 1;
         h.sum_us = h.sum_us.saturating_add(elapsed_us);
         h.count += 1;
     }
@@ -80,28 +57,14 @@ impl HttpMetrics {
     /// Consistent point-in-time copy for rendering.
     #[must_use]
     pub fn snapshot(&self) -> HttpSnapshot {
-        let by_status = self
-            .by_status
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(&(route, status), &n)| (route, status, n))
-            .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(&route, h)| HttpHistogramRow {
-                route,
-                buckets: h.buckets,
-                sum_us: h.sum_us,
-                count: h.count,
-            })
-            .collect();
+        let routes = self.routes.lock().unwrap_or_else(PoisonError::into_inner);
         HttpSnapshot {
-            by_status,
-            histograms,
+            by_status: routes
+                .by_status
+                .iter()
+                .map(|(&(route, status), &n)| (route, status, n))
+                .collect(),
+            histograms: routes.histograms.values().copied().collect(),
             streamed_results: self.streamed_results.load(Ordering::Relaxed),
         }
     }
@@ -123,8 +86,9 @@ pub struct HttpSnapshot {
 pub struct HttpHistogramRow {
     pub route: &'static str,
     /// Bucket `i` counts exchanges at or under
-    /// [`LATENCY_BUCKET_BOUNDS_US`]`[i]` µs; the last bucket is overflow.
-    pub buckets: [u64; BUCKETS],
+    /// [`ft_service::metrics::LATENCY_BUCKET_BOUNDS_US`]`[i]` µs; the
+    /// last bucket is overflow.
+    pub buckets: [u64; LATENCY_BUCKETS],
     /// Sum of durations, µs (saturating).
     pub sum_us: u64,
     /// Total exchanges (equals the bucket sum).
@@ -173,7 +137,7 @@ mod tests {
         m.record("metrics", 200, u64::MAX);
         let s = m.snapshot();
         let h = s.histograms.iter().find(|h| h.route == "metrics").unwrap();
-        assert_eq!(h.buckets[BUCKETS - 1], 1);
+        assert_eq!(h.buckets[LATENCY_BUCKETS - 1], 1);
         assert_eq!(h.sum_us, u64::MAX);
     }
 }

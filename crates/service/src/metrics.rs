@@ -1,4 +1,5 @@
-//! Service metrics: lock-free counters plus a JSON-serializable snapshot.
+//! Service metrics: lock-free counters, a point-in-time snapshot, and
+//! the one metric registry that exports it.
 //!
 //! ## Snapshot consistency
 //!
@@ -12,10 +13,22 @@
 //! lead `served` by the handful of requests in flight at snapshot time;
 //! they converge exactly once the service quiesces (e.g. the final
 //! snapshot returned by `shutdown`).
+//!
+//! ## The registry
+//!
+//! [`ROWS`] is the single list of exported values. Each row names one
+//! value's JSON path, its Prometheus sample, help text, kind, how shard
+//! snapshots fold it, and where it lives in a [`MetricsSnapshot`]. Three
+//! walkers read the table: [`MetricsSnapshot::to_json`] (`/v1/metrics`),
+//! [`MetricsSnapshot::write_prometheus`] (`/metrics`) and
+//! [`MetricsSnapshot::merge`] (the router's shard merge). Adding a metric
+//! is adding one row.
 
 use crate::chaos::FaultKind;
 use crate::json::{obj, Json};
 use crate::kernel::Kernel;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -25,7 +38,18 @@ use std::time::Duration;
 pub const LATENCY_BUCKET_BOUNDS_US: [u64; 8] =
     [100, 500, 1_000, 5_000, 25_000, 100_000, 500_000, 2_000_000];
 
-const BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
+/// Buckets of every latency histogram: one per finite bound plus the
+/// overflow bucket.
+pub const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
+
+/// The latency histogram bucket a duration of `us` µs lands in.
+#[must_use]
+pub fn latency_bucket(us: u64) -> usize {
+    LATENCY_BUCKET_BOUNDS_US
+        .iter()
+        .position(|&bound| us <= bound)
+        .unwrap_or(LATENCY_BUCKETS - 1)
+}
 
 /// Number of operand size classes tracked per kernel. Class `c` covers
 /// operands whose smaller bit length lies in `[2^c, 2^{c+1})` (class 0
@@ -63,7 +87,7 @@ pub(crate) struct Metrics {
     shed: AtomicU64,
     per_kernel: [AtomicU64; 5],
     queue_depth_high_water: AtomicUsize,
-    latency_buckets: [AtomicU64; BUCKETS],
+    latency_buckets: [AtomicU64; LATENCY_BUCKETS],
     latency_total_us: AtomicU64,
     /// Served-request counts per (kernel, operand size class).
     class_served: [[AtomicU64; SIZE_CLASSES]; 5],
@@ -104,11 +128,7 @@ pub(crate) struct Metrics {
 impl Metrics {
     pub(crate) fn record_served(&self, kernel: Kernel, bits: u64, latency: Duration) {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let bucket = LATENCY_BUCKET_BOUNDS_US
-            .iter()
-            .position(|&bound| us <= bound)
-            .unwrap_or(BUCKETS - 1);
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.latency_buckets[latency_bucket(us)].fetch_add(1, Ordering::Relaxed);
         self.per_kernel[kernel as usize].fetch_add(1, Ordering::Relaxed);
         saturating_fetch_add(&self.latency_total_us, us);
         let class = size_class(bits);
@@ -266,7 +286,7 @@ impl Metrics {
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize, plan_stats: (u64, u64)) -> MetricsSnapshot {
-        let latency_buckets: [u64; BUCKETS] =
+        let latency_buckets: [u64; LATENCY_BUCKETS] =
             std::array::from_fn(|i| self.latency_buckets[i].load(Ordering::Relaxed));
         // Self-consistency: served is *defined* as the bucket sum, so the
         // histogram always accounts for exactly the served requests even
@@ -372,6 +392,15 @@ impl KernelClassRow {
     pub fn mean_us(&self) -> u64 {
         self.total_us.checked_div(self.served).unwrap_or(0)
     }
+
+    /// The cell's key: the fields of its `size_classes` JSON entry and
+    /// the labels of its Prometheus samples.
+    fn labels(&self) -> [(&'static str, Json); 2] {
+        [
+            ("kernel", Json::Str(self.kernel.to_string())),
+            ("class_bits", Json::Num(i128::from(self.class_bits))),
+        ]
+    }
 }
 
 /// A point-in-time copy of the service's counters. `Default` is the
@@ -399,7 +428,7 @@ pub struct MetricsSnapshot {
     /// Completion-latency histogram; bucket `i` counts requests at or
     /// under [`LATENCY_BUCKET_BOUNDS_US`]`[i]` µs, with one overflow
     /// bucket at the end.
-    pub latency_buckets: [u64; BUCKETS],
+    pub latency_buckets: [u64; LATENCY_BUCKETS],
     /// Sum of all completion latencies, µs (saturating at `u64::MAX`).
     pub latency_total_us: u64,
     /// Non-empty per-(kernel, size-class) latency cells.
@@ -533,93 +562,67 @@ pub struct RouterSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fold another shard's snapshot into this one: counters and
-    /// histograms sum, high-water marks take the max, per-cell kernel
-    /// stats merge by (kernel, class). `served` stays the bucket sum by
-    /// construction. The `router` section is left untouched — the router
-    /// owns it and stamps it after merging its shards.
+    /// Fold another shard's snapshot into this one, row by row, as each
+    /// row's [`Fold`] says. Per-cell kernel stats merge by (kernel,
+    /// class), and entry names fill in when this side has none (a
+    /// `Default` accumulator). `served` stays the bucket sum because both
+    /// sides hold it. Router-owned rows are left alone: the router stamps
+    /// them after merging its shards.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.rejected_queue_full += other.rejected_queue_full;
-        self.timed_out += other.timed_out;
-        self.shed += other.shed;
-        for (i, &(name, count)) in other.per_kernel.iter().enumerate() {
-            if self.per_kernel[i].0.is_empty() {
-                self.per_kernel[i].0 = name;
-            }
-            self.per_kernel[i].1 += count;
-        }
-        self.queue_depth += other.queue_depth;
-        self.queue_depth_high_water = self
-            .queue_depth_high_water
-            .max(other.queue_depth_high_water);
-        for (i, &count) in other.latency_buckets.iter().enumerate() {
-            self.latency_buckets[i] += count;
-        }
-        self.served = self.latency_buckets.iter().sum();
-        self.latency_total_us = self.latency_total_us.saturating_add(other.latency_total_us);
-        for row in &other.kernel_classes {
-            match self
-                .kernel_classes
-                .iter_mut()
-                .find(|r| r.kernel == row.kernel && r.class_bits == row.class_bits)
-            {
-                Some(cell) => {
-                    cell.served += row.served;
-                    cell.total_us = cell.total_us.saturating_add(row.total_us);
+        for row in ROWS
+            .iter()
+            .filter(|row| !matches!(row.fold, Fold::Router | Fold::Derived))
+        {
+            let fold = row.fold;
+            match row.at {
+                At::Field(get, set) => {
+                    let value = fold.apply(get(self), get(other));
+                    set(self, value);
                 }
-                None => self.kernel_classes.push(row.clone()),
+                At::Labelled(_, get, get_mut) => {
+                    for (mine, &(name, theirs)) in get_mut(self).iter_mut().zip(get(other)) {
+                        if mine.0.is_empty() {
+                            mine.0 = name;
+                        }
+                        mine.1 = fold.apply(mine.1, theirs);
+                    }
+                }
+                At::Histogram => {
+                    for (mine, &theirs) in
+                        self.latency_buckets.iter_mut().zip(&other.latency_buckets)
+                    {
+                        *mine = fold.apply(*mine, theirs);
+                    }
+                    self.latency_total_us =
+                        self.latency_total_us.saturating_add(other.latency_total_us);
+                }
+                At::Class(get, set) => {
+                    for theirs in &other.kernel_classes {
+                        let cell = self.class_cell(theirs.kernel, theirs.class_bits);
+                        let value = fold.apply(get(cell), get(theirs));
+                        set(cell, value);
+                    }
+                }
             }
         }
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.batch_size_high_water = self.batch_size_high_water.max(other.batch_size_high_water);
-        self.batch_faults += other.batch_faults;
-        self.batch_element_retries += other.batch_element_retries;
-        self.tuner_retunes += other.tuner_retunes;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.retries += other.retries;
-        self.fallbacks += other.fallbacks;
-        self.worker_faults += other.worker_faults;
-        self.residue_checks += other.residue_checks;
-        self.verification_failures += other.verification_failures;
-        self.verify.residue_checks += other.verify.residue_checks;
-        self.verify.residue_failures += other.verify.residue_failures;
-        self.verify.residue_cost_us = self
-            .verify
-            .residue_cost_us
-            .saturating_add(other.verify.residue_cost_us);
-        self.verify.dual_checks += other.verify.dual_checks;
-        self.verify.dual_failures += other.verify.dual_failures;
-        self.verify.dual_cost_us = self
-            .verify
-            .dual_cost_us
-            .saturating_add(other.verify.dual_cost_us);
-        self.verify.recompute_checks += other.verify.recompute_checks;
-        self.verify.recompute_failures += other.verify.recompute_failures;
-        self.verify.recompute_cost_us = self
-            .verify
-            .recompute_cost_us
-            .saturating_add(other.verify.recompute_cost_us);
-        self.verify.escalations += other.verify.escalations;
-        self.breaker_opens += other.breaker_opens;
-        self.breaker_closes += other.breaker_closes;
-        for (i, &(name, count)) in other.injected_faults.iter().enumerate() {
-            if self.injected_faults[i].0.is_empty() {
-                self.injected_faults[i].0 = name;
-            }
-            self.injected_faults[i].1 += count;
-        }
-        self.distributed.runs += other.distributed.runs;
-        self.distributed.recoveries += other.distributed.recoveries;
-        self.distributed.unrecoverable += other.distributed.unrecoverable;
-        self.distributed.false_positives += other.distributed.false_positives;
-        self.distributed.detect_rounds += other.distributed.detect_rounds;
-        self.distributed.stragglers_flagged += other.distributed.stragglers_flagged;
-        self.distributed.max_detect_latency_ticks = self
-            .distributed
-            .max_detect_latency_ticks
-            .max(other.distributed.max_detect_latency_ticks);
+    }
+
+    /// The (kernel, class) cell, appended empty if this snapshot lacks it.
+    fn class_cell(&mut self, kernel: &'static str, class_bits: u64) -> &mut KernelClassRow {
+        let cells = &mut self.kernel_classes;
+        let at = cells
+            .iter()
+            .position(|c| (c.kernel, c.class_bits) == (kernel, class_bits));
+        let at = at.unwrap_or_else(|| {
+            cells.push(KernelClassRow {
+                kernel,
+                class_bits,
+                served: 0,
+                total_us: 0,
+            });
+            cells.len() - 1
+        });
+        &mut cells[at]
     }
 
     /// Mean completion latency in µs (0 when nothing was served).
@@ -682,219 +685,354 @@ impl MetricsSnapshot {
         self.latency_quantile_us(0.999)
     }
 
-    /// Serialize to compact JSON.
+    /// Serialize to compact JSON: every row with a JSON path, nested by
+    /// the dots in it.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let buckets = Json::Arr(
-            self.latency_buckets
-                .iter()
-                .enumerate()
-                .map(|(i, &count)| {
-                    let le = LATENCY_BUCKET_BOUNDS_US
-                        .get(i)
-                        .map_or(Json::Null, |&b| Json::Num(i128::from(b)));
-                    obj([("le_us", le), ("count", Json::Num(i128::from(count)))])
-                })
-                .collect(),
-        );
-        let classes = Json::Arr(
-            self.kernel_classes
-                .iter()
-                .map(|row| {
-                    obj([
-                        ("kernel", Json::Str(row.kernel.to_string())),
-                        ("class_bits", Json::Num(i128::from(row.class_bits))),
-                        ("served", Json::Num(i128::from(row.served))),
-                        ("mean_us", Json::Num(i128::from(row.mean_us()))),
-                    ])
-                })
-                .collect(),
-        );
-        obj([
-            ("served", Json::Num(i128::from(self.served))),
-            (
-                "rejected_queue_full",
-                Json::Num(i128::from(self.rejected_queue_full)),
-            ),
-            ("timed_out", Json::Num(i128::from(self.timed_out))),
-            ("shed", Json::Num(i128::from(self.shed))),
-            (
-                "per_kernel",
-                Json::Obj(
-                    self.per_kernel
+        let num = |v: u64| Json::Num(i128::from(v));
+        let mut root = BTreeMap::new();
+        for row in ROWS.iter().filter(|row| !row.json.is_empty()) {
+            let (parent, leaf) = row.json.rsplit_once('.').unwrap_or(("", row.json));
+            let value = match row.at {
+                At::Field(get, _) => num(get(self)),
+                At::Labelled(_, get, _) => Json::Obj(
+                    get(self)
                         .iter()
-                        .map(|&(name, count)| (name.to_string(), Json::Num(i128::from(count))))
+                        .map(|&(name, v)| (name.to_string(), num(v)))
                         .collect(),
                 ),
-            ),
-            ("queue_depth", Json::Num(self.queue_depth as i128)),
-            (
-                "queue_depth_high_water",
-                Json::Num(self.queue_depth_high_water as i128),
-            ),
-            ("latency_buckets", buckets),
-            (
-                "mean_latency_us",
-                Json::Num(i128::from(self.mean_latency_us())),
-            ),
-            (
-                "latency_quantiles",
-                obj([
-                    ("p50_us", Json::Num(i128::from(self.p50_latency_us()))),
-                    ("p99_us", Json::Num(i128::from(self.p99_latency_us()))),
-                    ("p999_us", Json::Num(i128::from(self.p999_latency_us()))),
-                ]),
-            ),
-            ("size_classes", classes),
-            (
-                "batching",
-                obj([
-                    ("batches", Json::Num(i128::from(self.batches))),
-                    (
-                        "batched_requests",
-                        Json::Num(i128::from(self.batched_requests)),
-                    ),
-                    (
-                        "batch_size_high_water",
-                        Json::Num(self.batch_size_high_water as i128),
-                    ),
-                    ("batch_faults", Json::Num(i128::from(self.batch_faults))),
-                    (
-                        "batch_element_retries",
-                        Json::Num(i128::from(self.batch_element_retries)),
-                    ),
-                ]),
-            ),
-            ("tuner_retunes", Json::Num(i128::from(self.tuner_retunes))),
-            (
-                "plan_cache_hits",
-                Json::Num(i128::from(self.plan_cache_hits)),
-            ),
-            (
-                "plan_cache_misses",
-                Json::Num(i128::from(self.plan_cache_misses)),
-            ),
-            (
-                "robustness",
-                obj([
-                    ("retries", Json::Num(i128::from(self.retries))),
-                    ("fallbacks", Json::Num(i128::from(self.fallbacks))),
-                    ("worker_faults", Json::Num(i128::from(self.worker_faults))),
-                    ("residue_checks", Json::Num(i128::from(self.residue_checks))),
-                    (
-                        "verification_failures",
-                        Json::Num(i128::from(self.verification_failures)),
-                    ),
-                    ("breaker_opens", Json::Num(i128::from(self.breaker_opens))),
-                    ("breaker_closes", Json::Num(i128::from(self.breaker_closes))),
-                    (
-                        "injected_faults",
-                        Json::Obj(
-                            self.injected_faults
+                At::Histogram => Json::Arr(
+                    self.latency_buckets
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &count)| {
+                            let le = LATENCY_BUCKET_BOUNDS_US
+                                .get(i)
+                                .map_or(Json::Null, |&b| num(b));
+                            obj([("le_us", le), ("count", num(count))])
+                        })
+                        .collect(),
+                ),
+                At::Class(get, _) => {
+                    // Class rows each fill one field of every cell of the
+                    // top-level array named by their parent path.
+                    let cells = root.entry(parent.to_string()).or_insert_with(|| {
+                        Json::Arr(
+                            self.kernel_classes
                                 .iter()
-                                .map(|&(name, count)| {
-                                    (name.to_string(), Json::Num(i128::from(count)))
-                                })
+                                .map(|c| obj(c.labels()))
                                 .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "verify",
-                obj([
-                    (
-                        "residue_checks",
-                        Json::Num(i128::from(self.verify.residue_checks)),
-                    ),
-                    (
-                        "residue_failures",
-                        Json::Num(i128::from(self.verify.residue_failures)),
-                    ),
-                    (
-                        "residue_cost_us",
-                        Json::Num(i128::from(self.verify.residue_cost_us)),
-                    ),
-                    (
-                        "dual_checks",
-                        Json::Num(i128::from(self.verify.dual_checks)),
-                    ),
-                    (
-                        "dual_failures",
-                        Json::Num(i128::from(self.verify.dual_failures)),
-                    ),
-                    (
-                        "dual_cost_us",
-                        Json::Num(i128::from(self.verify.dual_cost_us)),
-                    ),
-                    (
-                        "recompute_checks",
-                        Json::Num(i128::from(self.verify.recompute_checks)),
-                    ),
-                    (
-                        "recompute_failures",
-                        Json::Num(i128::from(self.verify.recompute_failures)),
-                    ),
-                    (
-                        "recompute_cost_us",
-                        Json::Num(i128::from(self.verify.recompute_cost_us)),
-                    ),
-                    (
-                        "escalations",
-                        Json::Num(i128::from(self.verify.escalations)),
-                    ),
-                ]),
-            ),
-            (
-                "distributed",
-                obj([
-                    ("runs", Json::Num(i128::from(self.distributed.runs))),
-                    (
-                        "recoveries",
-                        Json::Num(i128::from(self.distributed.recoveries)),
-                    ),
-                    (
-                        "unrecoverable",
-                        Json::Num(i128::from(self.distributed.unrecoverable)),
-                    ),
-                    (
-                        "false_positives",
-                        Json::Num(i128::from(self.distributed.false_positives)),
-                    ),
-                    (
-                        "detect_rounds",
-                        Json::Num(i128::from(self.distributed.detect_rounds)),
-                    ),
-                    (
-                        "stragglers_flagged",
-                        Json::Num(i128::from(self.distributed.stragglers_flagged)),
-                    ),
-                    (
-                        "max_detect_latency_ticks",
-                        Json::Num(i128::from(self.distributed.max_detect_latency_ticks)),
-                    ),
-                ]),
-            ),
-            (
-                "router",
-                obj([
-                    ("shards", Json::Num(i128::from(self.router.shards))),
-                    ("live", Json::Num(i128::from(self.router.live))),
-                    (
-                        "shard_deaths",
-                        Json::Num(i128::from(self.router.shard_deaths)),
-                    ),
-                    ("failovers", Json::Num(i128::from(self.router.failovers))),
-                    ("steals", Json::Num(i128::from(self.router.steals))),
-                    ("rejoins", Json::Num(i128::from(self.router.rejoins))),
-                    (
-                        "monitor_rounds",
-                        Json::Num(i128::from(self.router.monitor_rounds)),
-                    ),
-                ]),
-            ),
-        ])
-        .dump()
+                        )
+                    });
+                    if let Json::Arr(cells) = cells {
+                        for (cell, c) in cells.iter_mut().zip(&self.kernel_classes) {
+                            if let Json::Obj(fields) = cell {
+                                fields.insert(leaf.to_string(), num(get(c)));
+                            }
+                        }
+                    }
+                    continue;
+                }
+            };
+            object_at(&mut root, parent).insert(leaf.to_string(), value);
+        }
+        Json::Obj(root).dump()
+    }
+
+    /// Append every row with a Prometheus sample to `out`, in table order.
+    pub fn write_prometheus(&self, out: &mut Exposition) {
+        for row in ROWS.iter().filter(|row| !row.prom.is_empty()) {
+            let (family, labels) = match row.prom.split_once('{') {
+                Some((family, labels)) => (family, labels.trim_end_matches('}')),
+                None => (row.prom, ""),
+            };
+            out.family(family, row.help, row.kind);
+            match row.at {
+                At::Field(get, _) => out.sample(labels, get(self)),
+                At::Labelled(key, get, _) => {
+                    for &(name, value) in get(self) {
+                        out.sample(&format!("{key}=\"{name}\""), value);
+                    }
+                }
+                At::Histogram => out.histogram(
+                    labels,
+                    &self.latency_buckets,
+                    self.latency_total_us,
+                    self.served,
+                ),
+                At::Class(get, _) => {
+                    for c in &self.kernel_classes {
+                        // Label values are the JSON values, unquoted.
+                        let labels = c.labels().map(|(key, value)| {
+                            format!("{key}=\"{}\"", value.dump().trim_matches('"'))
+                        });
+                        out.sample(&labels.join(","), get(c));
+                    }
+                }
+            }
+        }
+    }
+}
+
+type JsonObject = BTreeMap<String, Json>;
+
+/// The JSON object at dot-separated `path` under `node`, created on
+/// demand.
+fn object_at<'a>(mut node: &'a mut JsonObject, path: &str) -> &'a mut JsonObject {
+    for key in path.split('.').filter(|key| !key.is_empty()) {
+        let child = node
+            .entry(key.to_string())
+            .or_insert_with(|| Json::Obj(BTreeMap::new()));
+        let Json::Obj(child) = child else {
+            unreachable!("JSON path {path:?} runs through a value");
+        };
+        node = child;
+    }
+    node
+}
+
+/// Prometheus type of a row's family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    /// The name `# TYPE` lines use.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// How [`MetricsSnapshot::merge`] folds a row across shard snapshots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Counters and instantaneous depths add up.
+    Sum,
+    /// Unbounded µs totals add up, pinning at `u64::MAX`.
+    SaturatingSum,
+    /// High-water marks keep the larger.
+    Max,
+    /// The router owns the value and stamps it after merging its shards.
+    Router,
+    /// Computed from other rows at export time; nothing to fold.
+    Derived,
+}
+
+impl Fold {
+    fn apply(self, ours: u64, theirs: u64) -> u64 {
+        match self {
+            Fold::Sum => ours + theirs,
+            Fold::SaturatingSum => ours.saturating_add(theirs),
+            Fold::Max => ours.max(theirs),
+            Fold::Router | Fold::Derived => ours,
+        }
+    }
+}
+
+/// The `(entry name, count)` arrays of the labelled families.
+pub type LabelledCounts = [(&'static str, u64); 5];
+
+/// Where a row's value lives in a [`MetricsSnapshot`].
+#[derive(Clone, Copy)]
+pub enum At {
+    /// One value: `get` reads it, `set` stores a folded value back
+    /// (derived rows have nothing to store).
+    Field(fn(&MetricsSnapshot) -> u64, fn(&mut MetricsSnapshot, u64)),
+    /// One sample per entry of a labelled family — `per_kernel` in
+    /// [`Kernel::ALL`] order, `injected_faults` in [`FaultKind::ALL`]
+    /// order — labelled `key="<entry name>"`; a JSON object keyed by
+    /// entry name.
+    Labelled(
+        &'static str,
+        fn(&MetricsSnapshot) -> &LabelledCounts,
+        fn(&mut MetricsSnapshot) -> &mut LabelledCounts,
+    ),
+    /// The completion-latency histogram: `latency_buckets`, summed in
+    /// `latency_total_us` (which folds saturating) and counted by
+    /// `served`.
+    Histogram,
+    /// One value per non-empty (kernel, size class) cell, labelled
+    /// `kernel` and `class_bits`.
+    Class(fn(&KernelClassRow) -> u64, fn(&mut KernelClassRow, u64)),
+}
+
+/// One row of the registry: a value and where it is exported.
+pub struct Row {
+    /// Prometheus type of the family.
+    pub kind: Kind,
+    /// How shard snapshots fold the value.
+    pub fold: Fold,
+    /// Dot-separated `/v1/metrics` path; empty when JSON carries only a
+    /// value derived from it.
+    pub json: &'static str,
+    /// Prometheus sample name with any fixed labels; empty when the
+    /// exposition carries only the values it is derived from.
+    pub prom: &'static str,
+    /// Where the value lives.
+    pub at: At,
+    /// `# HELP` text of the family; empty on rows that continue the
+    /// family of the row above.
+    pub help: &'static str,
+}
+
+const fn row(
+    kind: Kind,
+    fold: Fold,
+    json: &'static str,
+    prom: &'static str,
+    at: At,
+    help: &'static str,
+) -> Row {
+    Row {
+        kind,
+        fold,
+        json,
+        prom,
+        at,
+        help,
+    }
+}
+
+/// [`At::Field`] over a value computed at export time.
+const fn derived(get: fn(&MetricsSnapshot) -> u64) -> At {
+    At::Field(get, |_, _| {})
+}
+
+/// [`At::Field`] over a stored snapshot field (`u64` or `usize`).
+macro_rules! field {
+    ($($name:ident).+) => {
+        At::Field(|s| s.$($name).+ as u64, |s, v| s.$($name).+ = v as _)
+    };
+}
+
+/// Every exported value, in exposition order. JSON order is immaterial:
+/// objects serialize with sorted keys.
+#[rustfmt::skip]
+pub static ROWS: &[Row] = {
+    use Fold::{Derived, Max, Router, SaturatingSum, Sum};
+    use Kind::{Counter, Gauge};
+    &[
+        // kind, fold, JSON path, Prometheus sample, accessor, help
+        row(Counter, Sum, "served", "ft_requests_served_total", field!(served), "Multiplications completed successfully."),
+        row(Counter, Sum, "rejected_queue_full", "ft_rejected_queue_full_total", field!(rejected_queue_full), "Submissions refused at the queue boundary (backpressure)."),
+        row(Counter, Sum, "timed_out", "ft_timed_out_total", field!(timed_out), "Accepted requests whose deadline passed in queue."),
+        row(Counter, Sum, "shed", "ft_shed_total", field!(shed), "Accepted requests shed under load."),
+        row(Counter, Sum, "per_kernel", "ft_kernel_served_total", At::Labelled("kernel", |s| &s.per_kernel, |s| &mut s.per_kernel), "Completions per kernel."),
+        row(Gauge, Sum, "queue_depth", "ft_queue_depth", field!(queue_depth), "Queued requests at scrape time."),
+        row(Gauge, Max, "queue_depth_high_water", "ft_queue_depth_high_water", field!(queue_depth_high_water), "Largest single-queue depth observed at submit time."),
+        row(Kind::Histogram, Sum, "latency_buckets", "ft_request_latency_us", At::Histogram, "Completion latency of served multiplications, microseconds."),
+        row(Gauge, Derived, "mean_latency_us", "", derived(MetricsSnapshot::mean_latency_us), ""),
+        row(Gauge, Derived, "latency_quantiles.p50_us", "ft_request_latency_quantile_us{quantile=\"0.5\"}", derived(MetricsSnapshot::p50_latency_us), "Histogram-estimated completion-latency quantiles, microseconds."),
+        row(Gauge, Derived, "latency_quantiles.p99_us", "ft_request_latency_quantile_us{quantile=\"0.99\"}", derived(MetricsSnapshot::p99_latency_us), ""),
+        row(Gauge, Derived, "latency_quantiles.p999_us", "ft_request_latency_quantile_us{quantile=\"0.999\"}", derived(MetricsSnapshot::p999_latency_us), ""),
+        row(Counter, Sum, "size_classes.served", "ft_kernel_class_served_total", At::Class(|c| c.served, |c, v| c.served = v), "Requests served per (kernel, operand size class)."),
+        row(Counter, SaturatingSum, "", "ft_kernel_class_latency_us_total", At::Class(|c| c.total_us, |c, v| c.total_us = v), "Summed completion latency per (kernel, operand size class), microseconds."),
+        row(Gauge, Derived, "size_classes.mean_us", "", At::Class(KernelClassRow::mean_us, |_, _| {}), ""),
+        row(Counter, Sum, "batching.batches", "ft_batches_total", field!(batches), "Groups the worker pool ran, singletons included."),
+        row(Counter, Sum, "batching.batched_requests", "ft_batched_requests_total", field!(batched_requests), "Requests that rode in those groups, singletons included."),
+        row(Gauge, Max, "batching.batch_size_high_water", "ft_batch_size_high_water", field!(batch_size_high_water), "Largest group run."),
+        row(Counter, Sum, "batching.batch_faults", "ft_batch_faults_total", field!(batch_faults), "Whole-batch attempts that fell back to per-element execution."),
+        row(Counter, Sum, "batching.batch_element_retries", "ft_batch_element_retries_total", field!(batch_element_retries), "Batch elements re-executed individually."),
+        row(Counter, Sum, "tuner_retunes", "ft_tuner_retunes_total", field!(tuner_retunes), "Kernel-policy updates published by the adaptive tuner."),
+        row(Counter, Sum, "plan_cache_hits", "ft_plan_cache_hits_total", field!(plan_cache_hits), "Toom-plan cache hits."),
+        row(Counter, Sum, "plan_cache_misses", "ft_plan_cache_misses_total", field!(plan_cache_misses), "Toom-plan cache misses."),
+        row(Counter, Sum, "robustness.retries", "ft_retries_total", field!(retries), "Supervised re-attempts after a failed attempt."),
+        row(Counter, Sum, "robustness.fallbacks", "ft_fallbacks_total", field!(fallbacks), "Attempts executed on a kernel below the selected one."),
+        row(Counter, Sum, "robustness.worker_faults", "ft_worker_faults_total", field!(worker_faults), "Requests that exhausted the retry budget and the degradation ladder."),
+        row(Counter, Sum, "robustness.residue_checks", "ft_residue_checks_total", field!(residue_checks), "Products spot-checked by the residue verifier."),
+        row(Counter, Sum, "robustness.verification_failures", "ft_verification_failures_total", field!(verification_failures), "Caught soft faults across the whole verification ladder: residue mismatches plus recompute-confirmed dual-check disagreements."),
+        row(Counter, Sum, "verify.residue_checks", "ftsvc_verify_checks_total{rung=\"residue\"}", field!(verify.residue_checks), "Verification-ladder checks executed, by rung."),
+        row(Counter, Sum, "verify.dual_checks", "ftsvc_verify_checks_total{rung=\"dual\"}", field!(verify.dual_checks), ""),
+        row(Counter, Sum, "verify.recompute_checks", "ftsvc_verify_checks_total{rung=\"recompute\"}", field!(verify.recompute_checks), ""),
+        row(Counter, Sum, "verify.residue_failures", "ftsvc_verify_failures_total{rung=\"residue\"}", field!(verify.residue_failures), "Verification-ladder checks that flagged a product, by rung."),
+        row(Counter, Sum, "verify.dual_failures", "ftsvc_verify_failures_total{rung=\"dual\"}", field!(verify.dual_failures), ""),
+        row(Counter, Sum, "verify.recompute_failures", "ftsvc_verify_failures_total{rung=\"recompute\"}", field!(verify.recompute_failures), ""),
+        row(Counter, SaturatingSum, "verify.residue_cost_us", "ftsvc_verify_cost_us_total{rung=\"residue\"}", field!(verify.residue_cost_us), "Microseconds spent in each verification rung."),
+        row(Counter, SaturatingSum, "verify.dual_cost_us", "ftsvc_verify_cost_us_total{rung=\"dual\"}", field!(verify.dual_cost_us), ""),
+        row(Counter, SaturatingSum, "verify.recompute_cost_us", "ftsvc_verify_cost_us_total{rung=\"recompute\"}", field!(verify.recompute_cost_us), ""),
+        row(Counter, Sum, "verify.escalations", "ftsvc_verify_escalations_total", field!(verify.escalations), "Dual-check disagreements escalated to a full recompute."),
+        row(Counter, Sum, "robustness.breaker_opens", "ft_breaker_opens_total", field!(breaker_opens), "Circuit-breaker transitions into the open state."),
+        row(Counter, Sum, "robustness.breaker_closes", "ft_breaker_closes_total", field!(breaker_closes), "Circuit-breaker transitions back to closed."),
+        row(Counter, Sum, "robustness.injected_faults", "ft_chaos_injected_total", At::Labelled("kind", |s| &s.injected_faults, |s| &mut s.injected_faults), "Chaos-injected faults by kind."),
+        row(Counter, Sum, "distributed.runs", "ft_distributed_runs_total", field!(distributed.runs), "Multiplications completed on the simulated coded machine."),
+        row(Counter, Sum, "distributed.recoveries", "ft_distributed_recoveries_total", field!(distributed.recoveries), "Runs that survived at least one simulated processor death."),
+        row(Counter, Sum, "distributed.unrecoverable", "ft_distributed_unrecoverable_total", field!(distributed.unrecoverable), "Distributed attempts whose faults exceeded the redundancy f."),
+        row(Counter, Sum, "distributed.false_positives", "ft_distributed_false_positives_total", field!(distributed.false_positives), "Live ranks the in-machine detector wrongly declared dead."),
+        row(Counter, Sum, "distributed.detect_rounds", "ft_distributed_detect_rounds_total", field!(distributed.detect_rounds), "Heartbeat detection rounds executed across all runs."),
+        row(Counter, Sum, "distributed.stragglers_flagged", "ft_distributed_stragglers_flagged_total", field!(distributed.stragglers_flagged), "Ranks flagged and dropped as stragglers across all runs."),
+        row(Gauge, Max, "distributed.max_detect_latency_ticks", "ft_distributed_max_detect_latency_ticks", field!(distributed.max_detect_latency_ticks), "Worst heartbeat detection latency observed, simulated ticks."),
+        row(Gauge, Router, "router.shards", "ftsvc_router_shards", field!(router.shards), "Shards in the topology."),
+        row(Gauge, Router, "router.live", "ftsvc_router_shards_live", field!(router.live), "Shards currently routable (not declared dead)."),
+        row(Counter, Router, "router.shard_deaths", "ftsvc_router_shard_deaths_total", field!(router.shard_deaths), "Shards declared dead by the heartbeat verdict."),
+        row(Counter, Router, "router.failovers", "ftsvc_router_failovers_total", field!(router.failovers), "Requests re-routed to a survivor after their shard died."),
+        row(Counter, Router, "router.steals", "ftsvc_router_steals_total", field!(router.steals), "Requests stolen from a hot shard by an idle sibling."),
+        row(Counter, Router, "router.rejoins", "ftsvc_router_rejoins_total", field!(router.rejoins), "Dead shards re-admitted after their heartbeats resumed."),
+        row(Counter, Router, "router.monitor_rounds", "ftsvc_router_monitor_rounds_total", field!(router.monitor_rounds), "Service-level heartbeat detection rounds executed."),
+    ]
+};
+
+/// A Prometheus text exposition (format version 0.0.4) being written:
+/// each family's `# HELP`/`# TYPE` header goes out once, when the family
+/// starts, followed by its samples.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    text: String,
+    family: String,
+}
+
+impl Exposition {
+    /// Start the `name` family, unless its samples are being written.
+    pub fn family(&mut self, name: &str, help: &str, kind: Kind) {
+        if self.family != name {
+            let kind = kind.name();
+            let _ = writeln!(self.text, "# HELP {name} {help}\n# TYPE {name} {kind}");
+            name.clone_into(&mut self.family);
+        }
+    }
+
+    /// One sample of the current family; `labels` is `k="v",…` or empty.
+    pub fn sample(&mut self, labels: &str, value: u64) {
+        self.line("", labels, value);
+    }
+
+    /// One cumulative histogram of the current family over the latency
+    /// bucket bounds: a `_bucket` line per bound, then `_sum` and
+    /// `_count`.
+    pub fn histogram(&mut self, labels: &str, buckets: &[u64], sum: u64, count: u64) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut cumulative = 0;
+        for (i, &n) in buckets.iter().enumerate() {
+            cumulative += n;
+            let le = LATENCY_BUCKET_BOUNDS_US
+                .get(i)
+                .map_or_else(|| "+Inf".to_string(), u64::to_string);
+            self.line("_bucket", &format!("{labels}{sep}le=\"{le}\""), cumulative);
+        }
+        self.line("_sum", labels, sum);
+        self.line("_count", labels, count);
+    }
+
+    fn line(&mut self, suffix: &str, labels: &str, value: u64) {
+        let family = &self.family;
+        let _ = if labels.is_empty() {
+            writeln!(self.text, "{family}{suffix} {value}")
+        } else {
+            writeln!(self.text, "{family}{suffix}{{{labels}}} {value}")
+        };
+    }
+
+    /// The exposition text.
+    #[must_use]
+    pub fn finish(self) -> String {
+        self.text
     }
 }
 
@@ -1008,13 +1146,24 @@ mod tests {
         a.record_retry();
         a.observe_queue_depth(5);
         a.record_injected(FaultKind::ShardKill);
+        a.record_residue_verify(u64::MAX - 1, true);
+        a.record_batch(7);
         let b = Metrics::default();
         b.record_served(Kernel::Schoolbook, 2_000, Duration::from_micros(90));
         b.record_residue_verify(3, false);
         b.observe_queue_depth(9);
         b.record_distributed_run(1, 2, 0, 0, 7);
+        b.record_batch(3);
+        let stamped = RouterSnapshot {
+            shards: 2,
+            live: 2,
+            ..RouterSnapshot::default()
+        };
         let mut merged = a.snapshot(2, (4, 1));
-        merged.merge(&b.snapshot(3, (0, 2)));
+        merged.router = stamped;
+        let mut theirs = b.snapshot(3, (0, 2));
+        theirs.router.failovers = 5;
+        merged.merge(&theirs);
         assert_eq!(merged.served, 3);
         assert_eq!(
             merged.served,
@@ -1031,6 +1180,15 @@ mod tests {
         assert_eq!(merged.verification_failures, 1);
         assert_eq!(merged.distributed.recoveries, 1);
         assert_eq!(merged.distributed.max_detect_latency_ticks, 7);
+        assert_eq!(merged.verify.residue_checks, 2);
+        assert_eq!(
+            merged.verify.residue_cost_us,
+            u64::MAX,
+            "µs totals saturate"
+        );
+        assert_eq!(merged.batches, 2);
+        assert_eq!(merged.batch_size_high_water, 7, "high waters take max");
+        assert_eq!(merged.router, stamped, "router rows are the router's");
         assert_eq!(
             merged.injected_faults[FaultKind::ShardKill as usize],
             ("shard_kill", 1)

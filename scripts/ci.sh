@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== perfbench build + tests (its own workspace) =="
+# perfbench is a separate cargo workspace, so `cargo test --workspace`
+# never compiles it. Building and testing it here catches a change to
+# the snapshot fields it reads before a benchmark run does.
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== kernel bench smoke (--quick, counting allocator) =="
 # Reduced-matrix run of the kernel baseline: catches perf/allocation cliffs
 # and keeps the counting-allocator build compiling. Does not rewrite
