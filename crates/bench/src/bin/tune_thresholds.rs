@@ -1,10 +1,11 @@
 //! Crossover tuning for the scratch-arena kernels: measures the limb-level
 //! auto-dispatch (`BigInt::mul_auto`) against digit-level Toom-Cook at a
-//! sweep of base-case thresholds, to pick `seq::DEFAULT_THRESHOLD_BITS`,
-//! the `auto_mul` bands, and the service `KernelPolicy` defaults. The
+//! sweep of base-case thresholds, to pick `seq::DEFAULT_THRESHOLD_BITS`
+//! and the service `KernelPolicy` defaults. The
 //! big-operand table at the end sweeps forced Karatsuba vs Toom-3 vs the
-//! two-prime NTT from 256 kbit to 16 Mbit — the `ntt::NTT_THRESHOLD_LIMBS`
-//! / `KernelPolicy::ntt_min_bits` crossover comes from that table.
+//! two-prime NTT from 128 kbit to 16 Mbit in one run — the
+//! `ntt::NTT_THRESHOLD_LIMBS` crossover, from which `seq::NTT_MIN_BITS`
+//! and the `KernelPolicy` defaults derive, comes from that table.
 //!
 //! Run with `cargo run --release -p ft-bench --bin tune_thresholds`.
 //! Output is a table, not a JSON artifact — this is an operator tool.
@@ -62,8 +63,12 @@ fn main() {
 
     // Big-operand regime: where does the NTT overtake Toom? Forced kernels
     // (no auto-dispatch) so each column is one algorithm end to end.
-    let big: [u64; 8] = [
-        131_072, 262_144, 524_288, 1_048_576, 2_097_152, 4_194_304, 8_388_608, 16_777_216,
+    // 196 608 and 393 216 bits are the largest balanced products a 2^14-
+    // and 2^15-point transform holds; one limb more doubles the transform,
+    // so the sizes just above them are the NTT's worst case.
+    let big: [u64; 14] = [
+        131_072, 163_840, 196_608, 196_672, 262_144, 393_216, 393_280, 524_288, 1_048_576,
+        2_097_152, 4_194_304, 8_388_608, 9_437_184, 16_777_216,
     ];
     println!("\nbig-operand crossover (ms/op): forced Karatsuba vs Toom-3 vs two-prime NTT");
     println!(

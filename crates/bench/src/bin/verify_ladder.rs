@@ -27,16 +27,17 @@ use ft_toom_core::{residue, seq, ToomPlan};
 use std::time::{Duration, Instant};
 
 /// (label, operand bits, timed calls) — one row per kernel class under
-/// the default selection thresholds. The NTT row sits just past the
-/// default `ntt_min_bits` floor and meters the rung-1 residue check at
-/// the sizes the new kernel serves (it stays `O(n)` against the
-/// `Θ(n log n)` multiply, which is what makes raising `dual_max_bits`
-/// into the NTT regime affordable); it is skipped in `--quick` CI runs
+/// the default selection thresholds, which serve everything past
+/// `seq::NTT_MIN_BITS` (160 kbit) with the NTT and leave parallel Toom
+/// unselected. The two NTT rows meter the rung-1 residue check at the
+/// sizes the NTT serves (it stays `O(n)` against the `Θ(n log n)`
+/// multiply, which is what makes raising `dual_max_bits` into the NTT
+/// regime affordable); the 9 Mbit row is skipped in `--quick` CI runs
 /// where a multi-hundred-ms multiply would dominate the smoke budget.
 const SIZES: [(&str, u64, usize); 4] = [
     ("schoolbook/2kbit", 2_000, 2_000),
     ("seq_toom/50kbit", 50_000, 50),
-    ("par_toom/200kbit", 200_000, 6),
+    ("ntt/200kbit", 200_000, 6),
     ("ntt/9Mbit", 9_000_000, 2),
 ];
 

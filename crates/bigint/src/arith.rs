@@ -110,16 +110,15 @@ impl BigInt {
     }
 
     /// Raise to a small power by binary exponentiation. Products go through
-    /// the process-wide fast-multiply hook ([`crate::kernels::fast_mul`] —
-    /// Toom-Cook once `ft-toom-core` installs itself, workspace Karatsuba
-    /// otherwise) and repeated squarings use the halved squaring kernel.
+    /// the size-dispatched [`BigInt::mul_auto`] and repeated squarings use
+    /// the halved squaring kernel.
     #[must_use]
     pub fn pow(&self, mut e: u32) -> BigInt {
         let mut base = self.clone();
         let mut acc = BigInt::one();
         while e > 0 {
             if e & 1 == 1 {
-                acc = crate::kernels::fast_mul(&acc, &base);
+                acc = acc.mul_auto(&base);
             }
             e >>= 1;
             if e > 0 {

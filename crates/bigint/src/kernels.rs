@@ -24,30 +24,6 @@
 use crate::ops;
 use crate::workspace::{self, Workspace};
 use crate::{BigInt, Limb, Sign};
-use std::sync::OnceLock;
-
-/// Process-wide hook for a faster signed multiply (e.g. Toom-Cook from a
-/// higher crate that cannot be a dependency of this one). Installed once;
-/// later installs are ignored.
-static FAST_MUL: OnceLock<fn(&BigInt, &BigInt) -> BigInt> = OnceLock::new();
-
-/// Install the process-wide fast-multiply hook used by [`fast_mul`] (and
-/// through it by `BigInt::pow`). `ft-toom-core` installs its auto-dispatch
-/// Toom multiply here so `ft-bigint` callers benefit without a dependency
-/// cycle. First caller wins; returns whether this install took effect.
-pub fn install_fast_mul(f: fn(&BigInt, &BigInt) -> BigInt) -> bool {
-    FAST_MUL.set(f).is_ok()
-}
-
-/// The best available signed multiply: the installed hook, or this crate's
-/// workspace-backed Karatsuba/schoolbook auto-dispatch.
-#[must_use]
-pub fn fast_mul(a: &BigInt, b: &BigInt) -> BigInt {
-    match FAST_MUL.get() {
-        Some(f) => f(a, b),
-        None => a.mul_auto(b),
-    }
-}
 
 /// Below this many limbs in the *shorter* operand, multiplication uses the
 /// schoolbook basecase. Tuned on the CI container via `kernel_baseline`.
@@ -289,13 +265,15 @@ pub fn sqr_karatsuba_into(a: &[Limb], out: &mut Vec<Limb>, ws: &mut Workspace) {
     ops::normalize(out);
 }
 
-/// Best sequential kernel for the size: schoolbook below the crossover,
-/// Karatsuba above. Result normalized into the reused buffer.
+/// Best sequential kernel for the size: schoolbook below the Karatsuba
+/// crossover, Karatsuba above it, and the two-prime NTT once the shorter
+/// operand has more than [`crate::ntt::NTT_THRESHOLD_LIMBS`] limbs.
+/// Result normalized into the reused buffer.
 pub fn mul_into_auto(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, ws: &mut Workspace) {
     let shorter = a.len().min(b.len());
     if shorter <= KARATSUBA_THRESHOLD_LIMBS {
         ops::mul_into(a, b, out);
-    } else if shorter >= crate::ntt::NTT_THRESHOLD_LIMBS {
+    } else if shorter > crate::ntt::NTT_THRESHOLD_LIMBS {
         crate::ntt::mul_ntt_into(a, b, out, ws);
     } else {
         mul_karatsuba_into(a, b, out, ws);
@@ -304,7 +282,7 @@ pub fn mul_into_auto(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, ws: &mut Works
 
 impl BigInt {
     /// Signed product using the workspace-backed sequential kernels
-    /// (schoolbook below the Karatsuba crossover, Karatsuba above).
+    /// (schoolbook, Karatsuba or the NTT by size; see [`mul_into_auto`]).
     #[must_use]
     pub fn mul_with_ws(&self, other: &BigInt, ws: &mut Workspace) -> BigInt {
         let sign = self.sign.mul(other.sign);

@@ -1,13 +1,16 @@
 //! Number-theoretic-transform multiplication for the big-operand regime.
 //!
-//! Operands are split into base-`2^32` digits, multiplied as polynomials
-//! via two independent word-sized prime NTTs, and recombined with the CRT:
-//! each product coefficient is bounded by `n·(2^32−1)² < 2^84·n`, far under
-//! the 122-bit product of the two primes for every transform size this
-//! crate can reach, so two primes always suffice. This is the top rung of
-//! the sequential kernel ladder (schoolbook → Karatsuba → Toom → NTT): the
-//! `Θ(n log n)` regime the Toom papers point at once `k`-way splitting
-//! stops paying (Kronenburg, PAPERS.md).
+//! Operands are split into base-`2^48` digits (three limbs make four
+//! digits), multiplied as polynomials via two independent word-sized prime
+//! NTTs, and recombined with the CRT. A product coefficient is a sum of at
+//! most `d` digit products, `d` the shorter operand's digit count, so it is
+//! below `d·(2^48−1)²`; for `d ≤ 2^25` ([`MAX_SHORT_DIGITS`], 1.6 Gbit)
+//! that stays under `P0·P1 ≈ 2^121.6` and two primes suffice. The bound is
+//! checked with a hard `assert!` on every product, not only in debug
+//! builds. This is the top rung of the sequential kernel ladder
+//! (schoolbook → Karatsuba → Toom → NTT): the `Θ(n log n)` regime the Toom
+//! papers point at once `k`-way splitting stops paying (Kronenburg,
+//! PAPERS.md).
 //!
 //! Both primes have high 2-adicity so one primitive root covers every
 //! power-of-two transform size:
@@ -17,10 +20,14 @@
 //!
 //! The butterflies use Shoup multiplication: each twiddle `w` is cached
 //! with its companion `⌊w·2^64/p⌋`, so the inner loop is two widening
-//! multiplies and one conditional subtraction — no division, valid because
-//! both primes are below `2^63`. Twiddle tables are flat and *prefix
-//! closed* (`tw[k+j] = w_{2k}^j`), so one grow-only per-thread cache
-//! serves every transform size up to the largest seen.
+//! multiplies and one correction — no division, valid because both primes
+//! are below `2^63`. Every modular reduction is branchless: a value
+//! `s ∈ [0, 2p)` reduces as `s.min(s.wrapping_sub(p))`, which compiles to a
+//! conditional move, so no butterfly depends on a data-dependent branch.
+//! Twiddle tables are flat and *prefix closed* (`tw[k+j] = w_{2k}^j`), so
+//! one grow-only per-thread cache serves every transform size up to the
+//! largest seen; only the top segment is computed, every lower one is a
+//! stride of it (`w_{2k}^j = w_{4k}^{2j}`).
 //!
 //! The warm path is allocation-free: all five `N`-limb scratch buffers
 //! come from one [`Workspace::alloc`] split, and the twiddle cache only
@@ -61,44 +68,61 @@ const fn neg_inv_2_64(p: u64) -> u64 {
 }
 const NEG_INV: [u64; 2] = [neg_inv_2_64(P0), neg_inv_2_64(P1)];
 
-/// Digits per coefficient: operands are split into base-`2^32` digits so
-/// every digit is already reduced modulo both primes.
-pub const DIGIT_BITS: u32 = 32;
+/// Bits per transform digit: operands are split into base-`2^48` digits,
+/// four to every three limbs. Every digit is below both primes.
+pub const DIGIT_BITS: u32 = 48;
 const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
 
-/// Below this many limbs in the *shorter* operand, [`mul_ntt_into`] is not
-/// selected by the auto dispatch: 131 072 limbs = 8 Mbit, where the NTT
-/// beats Toom-3 by ≥1.5× and Karatsuba by ≥2× on the CI container in
-/// repeated `tune_thresholds` sweeps (the win is real from ~3 Mbit, but
-/// run-to-run noise there is larger than the margin; see
-/// BENCH_kernels.json / EXPERIMENTS.md §S9).
-pub const NTT_THRESHOLD_LIMBS: usize = 131_072;
+/// Most digits the *shorter* operand may carry (2^25 digits = 1.6 Gbit):
+/// every coefficient is then below `2^25·(2^48−1)² < P0·P1`, so the CRT
+/// recovers it exactly.
+pub const MAX_SHORT_DIGITS: usize = 1 << 25;
+const _: () = assert!(
+    (MAX_SHORT_DIGITS as u128) * (DIGIT_MASK as u128) * (DIGIT_MASK as u128)
+        < (P0 as u128) * (P1 as u128)
+);
+
+/// Whether a product whose shorter operand has `short_digits` digits stays
+/// inside the two-prime coefficient bound ([`MAX_SHORT_DIGITS`]).
+#[must_use]
+pub const fn digits_within_bound(short_digits: usize) -> bool {
+    short_digits <= MAX_SHORT_DIGITS
+}
+
+/// The auto dispatch selects [`mul_ntt_into`] when the *shorter* operand
+/// has more than this many limbs: 2 560 limbs = 163 840 bits, where a
+/// same-run `tune_thresholds` sweep measured the NTT 1.28× ahead of
+/// Toom-3 (0.95× at 128 kbit, 1.26× at 256 kbit, 2.3× at 1 Mbit). It dips
+/// just past 196 608 and 393 216 bits, where one more limb doubles the
+/// transform (0.80× and 1.05×; EXPERIMENTS.md §S9). `seq::NTT_MIN_BITS`
+/// and the service's `KernelPolicy` defaults derive from this constant.
+pub const NTT_THRESHOLD_LIMBS: usize = 2_560;
 
 // ---------------------------------------------------------------------------
 // Modular arithmetic helpers (pub for the coded-NTT machine protocol).
 // ---------------------------------------------------------------------------
 
+/// `s mod p` for `s < 2p`, branch-free: when `s < p` the wrapping
+/// subtraction wraps above `s` and `min` keeps `s`.
+#[inline(always)]
+fn reduce_once(s: u64, p: u64) -> u64 {
+    s.min(s.wrapping_sub(p))
+}
+
 /// `(a + b) mod p`, requiring `a, b < p < 2^63`.
 #[inline(always)]
 #[must_use]
 pub fn add_mod(a: u64, b: u64, p: u64) -> u64 {
-    let s = a + b;
-    if s >= p {
-        s - p
-    } else {
-        s
-    }
+    reduce_once(a + b, p)
 }
 
-/// `(a − b) mod p`, requiring `a, b < p`.
+/// `(a − b) mod p`, requiring `a, b < p`. Branch-free: when `a < b` the
+/// difference wraps high and adding `p` wraps it back below `p`.
 #[inline(always)]
 #[must_use]
 pub fn sub_mod(a: u64, b: u64, p: u64) -> u64 {
-    if a >= b {
-        a - b
-    } else {
-        a + p - b
-    }
+    let d = a.wrapping_sub(b);
+    d.min(d.wrapping_add(p))
 }
 
 /// `(a · b) mod p` through a 128-bit product. Fine off the hot path; the
@@ -138,17 +162,13 @@ pub fn shoup_precompute(w: u64, p: u64) -> u64 {
 }
 
 /// `(x · w) mod p` with `w`'s precomputed companion `w_shoup`; requires
-/// `p < 2^63` and `x, w < p`. Two widening multiplies, one correction.
+/// `p < 2^63` and `x, w < p`. Two widening multiplies, one branch-free
+/// correction (the raw remainder is below `2p`).
 #[inline(always)]
 #[must_use]
 pub fn shoup_mul(x: u64, w: u64, w_shoup: u64, p: u64) -> u64 {
     let q = ((u128::from(x) * u128::from(w_shoup)) >> 64) as u64;
-    let r = x.wrapping_mul(w).wrapping_sub(q.wrapping_mul(p));
-    if r >= p {
-        r - p
-    } else {
-        r
-    }
+    reduce_once(x.wrapping_mul(w).wrapping_sub(q.wrapping_mul(p)), p)
 }
 
 /// A primitive root of unity of the given power-of-two `order` modulo
@@ -174,24 +194,18 @@ pub fn root_of_order(prime: usize, order: usize) -> u64 {
 fn mont_mul(a: u64, b: u64, p: u64, ninv: u64) -> u64 {
     let t = u128::from(a) * u128::from(b);
     let m = (t as u64).wrapping_mul(ninv);
-    let u = ((t + u128::from(m) * u128::from(p)) >> 64) as u64;
-    if u >= p {
-        u - p
-    } else {
-        u
-    }
+    reduce_once(((t + u128::from(m) * u128::from(p)) >> 64) as u64, p)
 }
 
 /// CRT-combine residues of the same coefficient modulo `P0` and `P1` into
 /// the unique value below `P0·P1` (fits in 122 bits). Division-free:
-/// `P0 < 2·P1` makes the reduction a conditional subtract, and the fixed
-/// lift constant carries a Shoup companion.
+/// `P0 < 2·P1` makes the reduction one branch-free correction, and the
+/// fixed lift constant carries a Shoup companion.
 #[inline]
 #[must_use]
 pub fn crt_combine(r0: u64, r1: u64) -> u128 {
     // c = r0 + p0 · ((r1 − r0) · p0^{-1} mod p1)
-    let r0_mod_p1 = if r0 >= P1 { r0 - P1 } else { r0 };
-    let diff = sub_mod(r1, r0_mod_p1, P1);
+    let diff = sub_mod(r1, reduce_once(r0, P1), P1);
     const LIFT_SHOUP: u64 = ((P0_INV_MOD_P1 as u128) << 64).wrapping_div(P1 as u128) as u64;
     let t = shoup_mul(diff, P0_INV_MOD_P1, LIFT_SHOUP, P1);
     u128::from(r0) + u128::from(P0) * u128::from(t)
@@ -225,30 +239,48 @@ impl PrimeTables {
     }
 
     /// Extend the tables to cover transforms of size `n` (a power of two).
+    /// Only the top segment `[n/2, n)` is computed, division-free: the
+    /// forward powers by Shoup steps, the inverse ones as
+    /// `w^{-j} = −w^{n/2−j}` (companion `⌊(p−x)·2^64/p⌋ = !⌊x·2^64/p⌋`,
+    /// exact because `p` is an odd prime). Every new lower segment is a
+    /// stride of the one above it.
     fn ensure(&mut self, prime: usize, n: usize) {
         if self.built >= n {
             return;
         }
         let p = PRIMES[prime];
-        self.tw.resize(n, 0);
-        self.tws.resize(n, 0);
-        self.itw.resize(n, 0);
-        self.itws.resize(n, 0);
-        let mut k = self.built.max(1);
-        while k < n {
-            // Segment [k, 2k): powers of the primitive 2k-th root.
-            let w = root_of_order(prime, 2 * k);
-            let winv = inv_mod(w, p);
-            let (mut f, mut r) = (1u64, 1u64);
-            for j in 0..k {
-                self.tw[k + j] = f;
-                self.tws[k + j] = shoup_precompute(f, p);
-                self.itw[k + j] = r;
-                self.itws[k + j] = shoup_precompute(r, p);
-                f = mul_mod(f, w, p);
-                r = mul_mod(r, winv, p);
+        for v in [&mut self.tw, &mut self.tws, &mut self.itw, &mut self.itws] {
+            v.resize(n, 0);
+        }
+        let half = n / 2;
+        let w = root_of_order(prime, n);
+        let w_shoup = shoup_precompute(w, p);
+        // A companion without dividing: `⌊x·2^64/p⌋·p = x·2^64 − r` with
+        // `r = x·2^64 mod p`, so modulo 2^64 the companion is
+        // `−r·p^{-1} = r·NEG_INV`, and being below 2^64 it is that exactly.
+        let r64 = ((1u128 << 64) % u128::from(p)) as u64;
+        let r64_shoup = shoup_precompute(r64, p);
+        let mut f = 1u64;
+        for j in half..n {
+            self.tw[j] = f;
+            self.tws[j] = shoup_mul(f, r64, r64_shoup, p).wrapping_mul(NEG_INV[prime]);
+            f = shoup_mul(f, w, w_shoup, p);
+        }
+        self.itw[half] = 1;
+        self.itws[half] = self.tws[half];
+        for j in 1..half {
+            self.itw[half + j] = p - self.tw[n - j];
+            self.itws[half + j] = !self.tws[n - j];
+        }
+        let mut k = half / 2;
+        while k >= self.built.max(1) {
+            for table in [&mut self.tw, &mut self.tws, &mut self.itw, &mut self.itws] {
+                let (lower, upper) = table.split_at_mut(2 * k);
+                for (dst, &src) in lower[k..].iter_mut().zip(upper.iter().step_by(2)) {
+                    *dst = src;
+                }
             }
-            k *= 2;
+            k /= 2;
         }
         self.built = n;
     }
@@ -286,11 +318,11 @@ fn dit_stages(data: &mut [u64], p: u64, tw: &[u64], tws: &[u64]) {
         let (wk, wsk) = (&tw[k..2 * k], &tws[k..2 * k]);
         for block in data.chunks_exact_mut(2 * k) {
             let (lo, hi) = block.split_at_mut(k);
-            for j in 0..k {
-                let t = shoup_mul(hi[j], wk[j], wsk[j], p);
-                let u = lo[j];
-                lo[j] = add_mod(u, t, p);
-                hi[j] = sub_mod(u, t, p);
+            for (((u, v), &w), &ws) in lo.iter_mut().zip(hi.iter_mut()).zip(wk).zip(wsk) {
+                let t = shoup_mul(*v, w, ws, p);
+                let x = *u;
+                *u = add_mod(x, t, p);
+                *v = sub_mod(x, t, p);
             }
         }
         k *= 2;
@@ -313,11 +345,10 @@ fn dif_stages(data: &mut [u64], p: u64, tw: &[u64], tws: &[u64]) {
         let (wk, wsk) = (&tw[k..2 * k], &tws[k..2 * k]);
         for block in data.chunks_exact_mut(2 * k) {
             let (lo, hi) = block.split_at_mut(k);
-            for j in 0..k {
-                let u = lo[j];
-                let v = hi[j];
-                lo[j] = add_mod(u, v, p);
-                hi[j] = shoup_mul(sub_mod(u, v, p), wk[j], wsk[j], p);
+            for (((u, v), &w), &ws) in lo.iter_mut().zip(hi.iter_mut()).zip(wk).zip(wsk) {
+                let (x, y) = (*u, *v);
+                *u = add_mod(x, y, p);
+                *v = shoup_mul(sub_mod(x, y, p), w, ws, p);
             }
         }
         k /= 2;
@@ -382,28 +413,55 @@ pub fn scale_by_inv_len(prime: usize, data: &mut [u64]) {
 // Digit splitting / recombination.
 // ---------------------------------------------------------------------------
 
-/// Number of base-`2^32` digits carried by `limbs`.
+/// Number of base-`2^48` digits carried by `limbs`: `⌈64·limbs/48⌉`.
 #[must_use]
 pub fn digit_count(limbs: usize) -> usize {
-    2 * limbs
+    (4 * limbs).div_ceil(3)
 }
 
 /// Transform size for a product of `la`-limb and `lb`-limb operands: the
 /// smallest power of two holding every product digit.
+///
+/// # Panics
+/// If the shorter operand has more than [`MAX_SHORT_DIGITS`] digits: its
+/// product coefficients could exceed what the two CRT primes recover.
 #[must_use]
 pub fn transform_size(la: usize, lb: usize) -> usize {
+    assert!(
+        digits_within_bound(digit_count(la.min(lb))),
+        "NTT operands of {la} and {lb} limbs exceed the two-prime coefficient bound"
+    );
     (digit_count(la) + digit_count(lb)).next_power_of_two()
 }
 
-/// Split limbs into base-`2^32` digits, zero-padding `out` past the end.
-/// Every digit is `< 2^32`, hence already reduced modulo both primes.
+/// Three limbs as four base-`2^48` digits.
+#[inline(always)]
+fn limbs_to_digits(l: [Limb; 3]) -> [u64; 4] {
+    [
+        l[0] & DIGIT_MASK,
+        ((l[0] >> 48) | (l[1] << 16)) & DIGIT_MASK,
+        ((l[1] >> 32) | (l[2] << 32)) & DIGIT_MASK,
+        l[2] >> 16,
+    ]
+}
+
+/// Split limbs into base-`2^48` digits, zero-padding `out` past the end.
+/// Every digit is `< 2^48`, hence already reduced modulo both primes.
 pub fn split_digits(limbs: &[Limb], out: &mut [u64]) {
-    debug_assert!(out.len() >= digit_count(limbs.len()));
-    for (i, &limb) in limbs.iter().enumerate() {
-        out[2 * i] = limb & DIGIT_MASK;
-        out[2 * i + 1] = limb >> DIGIT_BITS;
+    let digits = digit_count(limbs.len());
+    debug_assert!(out.len() >= digits);
+    let chunks = limbs.chunks_exact(3);
+    let tail = chunks.remainder();
+    for (l, d) in chunks.zip(out.chunks_exact_mut(4)) {
+        d.copy_from_slice(&limbs_to_digits([l[0], l[1], l[2]]));
     }
-    out[digit_count(limbs.len())..].fill(0);
+    if !tail.is_empty() {
+        let mut l = [0; 3];
+        l[..tail.len()].copy_from_slice(tail);
+        let done = 4 * (limbs.len() / 3);
+        out[done..digits].copy_from_slice(&limbs_to_digits(l)[..digits - done]);
+    }
+    out[digits..].fill(0);
     metrics::tally(limbs.len() as u64);
 }
 
@@ -417,6 +475,9 @@ pub fn ntt_scratch_limbs(la: usize, lb: usize) -> usize {
 /// `out = a · b` via the two-prime CRT NTT; `out` is fully overwritten
 /// with the normalized `la + lb`-limb product. All scratch comes from
 /// `ws`; the warm path performs no heap allocation.
+///
+/// # Panics
+/// If the shorter operand exceeds [`MAX_SHORT_DIGITS`] digits.
 pub fn mul_ntt_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, ws: &mut Workspace) {
     let (la, lb) = (a.len(), b.len());
     out.clear();
@@ -464,22 +525,27 @@ pub fn mul_ntt_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>, ws: &mut Worksp
                 metrics::tally(n as u64);
             }
         });
-        // CRT lift + base-2^32 carry propagation, packed back to limbs.
-        // `n ≥ 2·out_limbs`, and the product fits `out_limbs` limbs, so the
-        // final carry provably dies in-window.
+        // CRT lift + base-2^48 carry propagation, packed back to limbs.
+        // The `digit_count(out_limbs)` digits hold 0, 16 or 32 bits past
+        // the product's `out_limbs` limbs, and the product fits, so those
+        // bits and the final carry provably die in-window.
         let mut carry: u128 = 0;
-        let mut lo32: u64 = 0;
-        for i in 0..digit_count(out_limbs) {
-            let cur = crt_combine(r0[i], r1[i]) + carry;
-            let digit = (cur as u64) & DIGIT_MASK;
+        let (mut acc, mut acc_bits): (u128, u32) = (0, 0);
+        for (&c0, &c1) in r0.iter().zip(r1.iter()).take(digit_count(out_limbs)) {
+            let cur = crt_combine(c0, c1) + carry;
             carry = cur >> DIGIT_BITS;
-            if i % 2 == 0 {
-                lo32 = digit;
-            } else {
-                out.push(lo32 | (digit << DIGIT_BITS));
+            acc |= u128::from(cur as u64 & DIGIT_MASK) << acc_bits;
+            acc_bits += DIGIT_BITS;
+            if acc_bits >= 64 {
+                out.push(acc as u64);
+                acc >>= 64;
+                acc_bits -= 64;
             }
         }
-        debug_assert_eq!(carry, 0, "NTT product carry escaped the window");
+        debug_assert!(
+            carry == 0 && acc == 0 && out.len() == out_limbs,
+            "NTT product carry escaped the window"
+        );
         metrics::tally(digit_count(out_limbs) as u64);
     }
     ws.release(mark);
@@ -576,7 +642,7 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        for limbs in [1usize, 2, 17, 64, 200] {
+        for limbs in [1usize, 2, 3, 17, 64, 200, 201] {
             let a = BigInt::from_limbs((0..limbs).map(|_| next()).collect());
             let b = BigInt::from_limbs((0..limbs + 3).map(|_| next()).collect());
             assert_eq!(a.mul_ntt(&b), a.mul_schoolbook(&b), "limbs {limbs}");
@@ -589,6 +655,132 @@ mod tests {
         assert_eq!(x.mul_ntt(&zero), zero);
         assert_eq!(x.mul_ntt(&one), x);
         assert_eq!(x.mul_ntt(&x), x.mul_schoolbook(&x));
+    }
+
+    /// Edge residues of each prime, where a wrong branch-free correction
+    /// (off by `p`, or wrapped) would show.
+    fn edges(p: u64) -> [u64; 4] {
+        [0, 1, p - 2, p - 1]
+    }
+
+    #[test]
+    fn branchless_helpers_match_u128_reference() {
+        for (prime, &p) in PRIMES.iter().enumerate() {
+            let wide = u128::from(p);
+            let r = (1u128 << 64) % wide;
+            let r_inv = inv_mod(r as u64, p);
+            for a in edges(p) {
+                for b in edges(p) {
+                    let (a128, b128) = (u128::from(a), u128::from(b));
+                    assert_eq!(u128::from(add_mod(a, b, p)), (a128 + b128) % wide);
+                    assert_eq!(u128::from(sub_mod(a, b, p)), (a128 + wide - b128) % wide);
+                    let want = (a128 * b128) % wide;
+                    let b_shoup = shoup_precompute(b, p);
+                    assert_eq!(u128::from(shoup_mul(a, b, b_shoup, p)), want);
+                    // Montgomery: a·b·2^{-64}, so scale back by 2^64.
+                    let mont = mont_mul(a, b, p, NEG_INV[prime]);
+                    assert!(mont < p);
+                    assert_eq!(u128::from(mul_mod(mont, r as u64, p)), want);
+                    assert_eq!(mul_mod(mul_mod(a, b, p), r_inv, p), mont);
+                }
+            }
+        }
+        // The CRT lift at the edges of both residue ranges.
+        let modulus = u128::from(P0) * u128::from(P1);
+        for r0 in edges(P0) {
+            for r1 in edges(P1) {
+                let c = crt_combine(r0, r1);
+                assert!(c < modulus);
+                assert_eq!(c % u128::from(P0), u128::from(r0));
+                assert_eq!(c % u128::from(P1), u128::from(r1));
+            }
+        }
+    }
+
+    /// Every segment computed directly from its own root, the way the
+    /// tables were built before striding.
+    fn direct_tables(prime: usize, n: usize) -> [Vec<u64>; 4] {
+        let p = PRIMES[prime];
+        let mut out: [Vec<u64>; 4] = std::array::from_fn(|_| vec![0; n]);
+        let mut k = 1;
+        while k < n {
+            let w = root_of_order(prime, 2 * k);
+            let winv = inv_mod(w, p);
+            for j in 0..k {
+                let (f, r) = (pow_mod(w, j as u64, p), pow_mod(winv, j as u64, p));
+                out[0][k + j] = f;
+                out[1][k + j] = shoup_precompute(f, p);
+                out[2][k + j] = r;
+                out[3][k + j] = shoup_precompute(r, p);
+            }
+            k *= 2;
+        }
+        out
+    }
+
+    #[test]
+    fn strided_twiddle_tables_equal_direct_ones() {
+        for prime in 0..2 {
+            // Grown in one step, and grown in several (each step strides
+            // only the segments it adds).
+            let mut fresh = PrimeTables::new();
+            fresh.ensure(prime, 1 << 12);
+            let mut grown = PrimeTables::new();
+            for n in [2, 8, 64, 1 << 12] {
+                grown.ensure(prime, n);
+            }
+            let want = direct_tables(prime, 1 << 12);
+            for t in [&fresh, &grown] {
+                assert_eq!(t.built, 1 << 12);
+                // Index 0 belongs to no segment.
+                assert_eq!(t.tw[1..], want[0][1..], "prime {prime}: tw");
+                assert_eq!(t.tws[1..], want[1][1..], "prime {prime}: tws");
+                assert_eq!(t.itw[1..], want[2][1..], "prime {prime}: itw");
+                assert_eq!(t.itws[1..], want[3][1..], "prime {prime}: itws");
+            }
+        }
+    }
+
+    #[test]
+    fn digits_round_trip_for_every_limb_residue() {
+        let mut rng = 0x0bad_5eed_1234_5678u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for limbs in 0..10usize {
+            let a: Vec<Limb> = (0..limbs).map(|_| next()).collect();
+            let mut digits = vec![u64::MAX; digit_count(limbs) + 3];
+            split_digits(&a, &mut digits);
+            assert!(digits.iter().all(|&d| d <= DIGIT_MASK));
+            assert!(digits[digit_count(limbs)..].iter().all(|&d| d == 0));
+            let mut value = BigInt::zero();
+            for &d in digits.iter().rev() {
+                value = &(&value << u64::from(DIGIT_BITS)) + &BigInt::from(d);
+            }
+            assert_eq!(value, BigInt::from_limbs(a), "limbs {limbs}");
+        }
+        assert_eq!(digit_count(3), 4);
+        assert_eq!(digit_count(4), 6);
+        assert_eq!(digit_count(5), 7);
+    }
+
+    #[test]
+    fn nine_megabit_product_fits_a_2_pow_19_transform() {
+        // 9 437 184 bits = 147 456 limbs = 196 608 digits a side. Base-2^32
+        // digits needed 2^20 points here; base-2^48 digits need 2^19.
+        let limbs = 9_437_184 / 64;
+        assert_eq!(transform_size(limbs, limbs), 1 << 19);
+        assert_eq!(ntt_scratch_limbs(limbs, limbs), 5 << 19);
+    }
+
+    #[test]
+    fn digit_bound_admits_2_pow_25_and_rejects_one_more() {
+        assert!(digits_within_bound(MAX_SHORT_DIGITS));
+        assert!(digits_within_bound(1 << 25));
+        assert!(!digits_within_bound((1 << 25) + 1));
     }
 
     fn miller_rabin(n: u64) -> bool {

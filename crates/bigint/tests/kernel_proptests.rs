@@ -182,6 +182,43 @@ proptest! {
         prop_assert_eq!(ws.in_use(), 0, "NTT multiply must release all arena scratch");
     }
 
+    /// Operands at every limb count mod 3 (three limbs pack four 48-bit
+    /// digits, so each residue leaves a different partial digit group),
+    /// on both sides of a transform-size power of two: `3·2^(k−3)` limbs
+    /// a side is the largest balanced product a `2^k`-point transform
+    /// holds, one limb more doubles it.
+    #[test]
+    fn ntt_matches_schoolbook_across_digit_groups_and_transform_steps(
+        k in 4u32..11,
+        delta in -2i64..=2,
+        skew in 0usize..3,
+        all_max in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let la = (3i64 << (k - 3)) + delta;
+        let la = usize::try_from(la).unwrap();
+        let lb = la + skew;
+        let mut state = seed | 1;
+        let mut limbs = |n: usize| -> BigInt {
+            let mut v: Vec<Limb> = (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if all_max { u64::MAX } else { state }
+                })
+                .collect();
+            v[n - 1] |= 1 << 63;
+            BigInt::from_limbs(v)
+        };
+        let (x, y) = (limbs(la), limbs(lb));
+        let balanced = 1usize << k;
+        let n = ntt::transform_size(la, lb);
+        prop_assert!(if la + skew <= 3 << (k - 3) { n <= balanced } else { n >= balanced });
+        prop_assert_eq!(x.mul_ntt(&y), x.mul_schoolbook(&y));
+        prop_assert_eq!(y.mul_ntt(&x), x.mul_schoolbook(&y));
+    }
+
     /// CRT edge cases: operands that are multiples of one (or both) NTT
     /// primes make entire residue vectors vanish mod that prime, so the
     /// reconstruction leans fully on the CRT lift — any sign error in the

@@ -36,10 +36,10 @@ pub fn isqrt_with(n: &BigInt, mul: &Mul) -> BigInt {
     x
 }
 
-/// `⌊√n⌋` with Toom-Cook-3 products.
+/// `⌊√n⌋` with size-dispatched products ([`BigInt::mul_auto`]).
 #[must_use]
 pub fn isqrt(n: &BigInt) -> BigInt {
-    isqrt_with(n, &|a, b| crate::seq::auto_mul(a, b))
+    isqrt_with(n, &BigInt::mul_auto)
 }
 
 /// `true` iff `n` is a perfect square.
@@ -49,7 +49,7 @@ pub fn is_perfect_square(n: &BigInt) -> bool {
         return false;
     }
     let r = isqrt(n);
-    &crate::seq::auto_mul(&r, &r) == n
+    &r.mul_auto(&r) == n
 }
 
 /// `base^e` with all products through `mul` (binary exponentiation;
@@ -167,7 +167,7 @@ mod tests {
             BigInt::from(2_432_902_008_176_640_000u64)
         );
         // 1000! has 2568 digits; verify length and a kernel-equivalence.
-        let fast = |x: &BigInt, y: &BigInt| crate::seq::auto_mul(x, y);
+        let fast = |x: &BigInt, y: &BigInt| x.mul_auto(y);
         let f1000 = factorial_with(1000, &fast);
         assert_eq!(f1000.to_string().len(), 2568);
         assert_eq!(f1000, factorial_with(1000, &school));

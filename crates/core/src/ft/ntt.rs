@@ -38,21 +38,18 @@
 //! 4. **inverse** — chosen column `l` gathers its `Ĉ_l`, runs the inverse
 //!    M-point NTT, CRT-combines both primes, and returns the coefficient
 //!    sub-vector `c_l`; the host interleaves `c[i·q+l] = c_l[i]` and
-//!    carry-propagates in base `2^32`.
+//!    carry-propagates in base `2^48` (`ft_bigint::ntt::DIGIT_BITS`).
 
 use crate::parallel::tags;
 use ft_bigint::ntt::{
     add_mod, crt_combine, forward, inv_mod, inverse, mul_mod, pow_mod, root_of_order, split_digits,
-    sub_mod, transform_size, PRIMES,
+    sub_mod, transform_size, DIGIT_BITS, PRIMES,
 };
 use ft_bigint::{metrics, BigInt, Sign};
 use ft_machine::{
     detection_round, DetectorConfig, Fate, FaultPlan, Machine, MachineConfig, RandomFaults,
     RunReport, Verdict,
 };
-
-/// Base-2^32 digits per limb — fixed by `ft_bigint::ntt`.
-const DIGIT_BITS: u64 = 32;
 
 /// Geometry of a coded-NTT run: one machine rank per transform column.
 #[derive(Debug, Clone)]
@@ -440,7 +437,7 @@ pub fn run_ntt_ft_with(
             vec[i * q + l] = v.clone();
         }
     }
-    let mag = BigInt::join_base_pow2(&vec, DIGIT_BITS);
+    let mag = BigInt::join_base_pow2(&vec, u64::from(DIGIT_BITS));
     let product = match sign {
         Sign::Negative => -mag,
         Sign::Zero => BigInt::zero(),
@@ -555,6 +552,36 @@ mod tests {
         assert_eq!(out.product, a.mul_schoolbook(&b));
         let out = run_ntt_ft(&a, &b, &NttFtConfig::new(4, 2), FaultPlan::none());
         assert_eq!(out.product, a.mul_schoolbook(&b));
+    }
+
+    #[test]
+    fn bit_exact_for_every_limb_count_mod_3_with_and_without_kills() {
+        // Three limbs pack into four base-2^48 digits: cover full and
+        // partial trailing groups on both sides, unbalanced shapes too.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for (la, lb) in [(96, 96), (97, 98), (98, 96), (97, 40), (41, 99)] {
+            let a = BigInt::random_bits(&mut rng, 64 * la);
+            let b = BigInt::random_bits(&mut rng, 64 * lb);
+            assert_eq!((a.word_len(), b.word_len()), (la as usize, lb as usize));
+            let want = a.mul_schoolbook(&b);
+            for (cfg, plan) in [
+                (NttFtConfig::new(2, 1), FaultPlan::none()),
+                (
+                    NttFtConfig::new(2, 1),
+                    FaultPlan::none().kill(0, "ntt-halt"),
+                ),
+                (NttFtConfig::new(4, 2), FaultPlan::none()),
+                (
+                    NttFtConfig::new(4, 2),
+                    FaultPlan::none().kill(1, "ntt-halt").kill(5, "ntt-halt"),
+                ),
+            ] {
+                let kills = plan.specs().len();
+                let out = run_ntt_ft(&a, &b, &cfg, plan);
+                assert_eq!(out.product, want, "limbs ({la}, {lb}), {kills} kills");
+                assert_eq!(out.report.total_deaths() as usize, kills);
+            }
+        }
     }
 
     #[test]

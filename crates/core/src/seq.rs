@@ -154,39 +154,15 @@ fn sqr_rec(a: &BigInt, plan: &ToomPlan, threshold: u64, ws: &mut Workspace) -> B
     out
 }
 
-/// GMP-style size-adaptive multiplier: below the Toom range the limb-level
-/// kernels ([`ft_bigint::BigInt::mul_auto`]: schoolbook basecase, then
-/// in-place Karatsuba) win outright; above it digit-level TC-3 / TC-4 take
-/// over (thresholds tuned via the `kernel_baseline` bench).
-#[must_use]
-pub fn auto_mul(a: &BigInt, b: &BigInt) -> BigInt {
-    let bits = a.bit_length().min(b.bit_length());
-    match bits {
-        // The limb-level Karatsuba kernel wins outright to ~256kbit on the
-        // CI container (see `tune_thresholds`); past that TC-3's better
-        // exponent takes over. TC-4's constants never pay off here.
-        0..=262_144 => a.mul_auto(b),
-        // TC-3 band ends where the two-prime NTT's ≥1.5× win is stable
-        // across `tune_thresholds` runs (8 Mbit — see EXPERIMENTS.md §S9).
-        262_145..=NTT_MIN_BITS => toom_k(a, b, 3),
-        _ => a.mul_ntt(b),
-    }
-}
-
-/// Bits (min of both operands) above which [`auto_mul`] leaves Toom-Cook
-/// for the two-prime CRT NTT. Mirrors
-/// [`ft_bigint::ntt::NTT_THRESHOLD_LIMBS`] and the service
-/// `KernelPolicy::ntt_min_bits` default.
+/// Bits (min of both operands) above which the kernels leave Karatsuba
+/// and Toom-Cook for the two-prime CRT NTT:
+/// [`ft_bigint::ntt::NTT_THRESHOLD_LIMBS`] in bits. Every crossover site
+/// (`BigInt::mul_auto` and the service `KernelPolicy` defaults) sends a
+/// product to the NTT when its shorter operand is strictly *above* this
+/// size. Below it the limb-level Karatsuba of `BigInt::mul_auto` keeps
+/// pace with digit-level Toom-3 (within 4% in the `tune_thresholds`
+/// sweep), so there is no Toom band between the two.
 pub const NTT_MIN_BITS: u64 = 64 * ft_bigint::ntt::NTT_THRESHOLD_LIMBS as u64;
-
-/// Install [`auto_mul`] as the process-wide fast-multiply hook in
-/// `ft-bigint` ([`ft_bigint::kernels::install_fast_mul`]), so
-/// `BigInt::pow` and other bigint-level callers route through Toom-Cook
-/// without a dependency cycle. First install wins; returns whether this
-/// call performed it.
-pub fn install_fast_mul_hook() -> bool {
-    ft_bigint::kernels::install_fast_mul(auto_mul)
-}
 
 /// Unbalanced Toom-Cook-(k₁,k₂) (Zanoni 2010): split `a` into `k₁` digits
 /// and `b` into `k₂` digits over a shared base; `k₁+k₂−1` evaluation
@@ -435,16 +411,6 @@ mod tests {
         let (_, sq) = ft_bigint::metrics::measure(|| toom_square_threshold(&a, 3, 1024));
         let (_, mul) = ft_bigint::metrics::measure(|| toom_k_threshold(&a, &a, 3, 1024));
         assert!(sq < mul, "square {sq} ops should undercut multiply {mul}");
-    }
-
-    #[test]
-    fn auto_mul_picks_correctly_at_all_sizes() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
-        for bits in [100u64, 10_000, 50_000] {
-            let a = BigInt::random_signed_bits(&mut rng, bits);
-            let b = BigInt::random_signed_bits(&mut rng, bits);
-            assert_eq!(auto_mul(&a, &b), a.mul_schoolbook(&b), "bits={bits}");
-        }
     }
 
     #[test]

@@ -9,16 +9,19 @@ use crate::chaos::ChaosConfig;
 use crate::json::{obj, Json, JsonError};
 use crate::supervisor::{BreakerPolicy, RetryPolicy};
 use crate::verify::VerifyPolicy;
+use ft_toom_core::seq;
 
 /// Size thresholds steering kernel auto-selection, in operand bits
 /// (`min(bit_length(a), bit_length(b))`).
 ///
 /// Defaults follow the crossover points measured by the `tune_thresholds`
-/// sweep against the scratch-arena limb kernels: schoolbook only wins
-/// below ~2 kbit (the in-place Karatsuba base case takes over early), and
-/// sequential Toom-Cook carries to multi-megabit sizes on the single-core
-/// CI container — multicore deployments should lower `seq_toom_max_bits`
-/// to wherever their fork-join overhead amortizes.
+/// sweep: schoolbook only wins below ~2 kbit (the in-place Karatsuba base
+/// case takes over early), sequential Toom-Cook serves up to the NTT
+/// crossover, and the NTT everything above it. Both Toom bounds default
+/// to `ft_toom_core::seq::NTT_MIN_BITS`, so the default policy never
+/// selects parallel Toom-Cook: on a 2-core host its CPU time exceeds seq
+/// Toom's at every size. A deployment that wants it sets
+/// `ntt_min_bits` above `seq_toom_max_bits`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelPolicy {
     /// Requests at or below this size run schoolbook.
@@ -28,9 +31,9 @@ pub struct KernelPolicy {
     pub seq_toom_max_bits: u64,
     /// Requests *above* this size run the two-prime CRT NTT kernel
     /// (`ft_bigint::ntt`); requests between `seq_toom_max_bits` and here
-    /// run parallel Toom-Cook. The default is the 8 Mbit crossover the
-    /// `tune_thresholds` big-operand sweep measured (≥1.5× over Toom-3
-    /// there and above; see BENCH_kernels.json).
+    /// run parallel Toom-Cook. The default is the kernel crossover
+    /// `seq::NTT_MIN_BITS` (≥1.2× over Toom-3 above it; see
+    /// EXPERIMENTS.md §S9).
     pub ntt_min_bits: u64,
     /// Split parameter for the sequential Toom-Cook kernel.
     pub seq_toom_k: usize,
@@ -46,8 +49,8 @@ impl Default for KernelPolicy {
     fn default() -> KernelPolicy {
         KernelPolicy {
             schoolbook_max_bits: 2_048,
-            seq_toom_max_bits: 4_000_000,
-            ntt_min_bits: 8_388_608,
+            seq_toom_max_bits: seq::NTT_MIN_BITS,
+            ntt_min_bits: seq::NTT_MIN_BITS,
             seq_toom_k: 3,
             par_toom_k: 3,
             toom_threshold_bits: 24_576,

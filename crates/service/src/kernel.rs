@@ -13,11 +13,14 @@ pub enum Kernel {
     /// Sequential Toom-Cook (`seq::toom_with_plan`) — mid-size operands.
     SeqToom,
     /// Fork-join parallel Toom-Cook (`rayon_engine::par_toom_with_plan`)
-    /// — large operands.
+    /// — the band between `seq_toom_max_bits` and `ntt_min_bits`, which
+    /// is empty under the default policy. Reached by an explicit policy,
+    /// by the degradation of [`Kernel::DistributedToom`], and as that
+    /// kernel's local fallback.
     ParToom,
     /// Two-prime CRT NTT (`ft_bigint::ntt`) — the big-operand regime past
     /// `KernelPolicy::ntt_min_bits`, where `Θ(n log n)` beats every Toom
-    /// split (≥1.5× over seq Toom at the default crossover; see
+    /// split (≥1.2× over seq Toom from the default crossover up; see
     /// BENCH_kernels.json). Degrades to [`Kernel::SeqToom`] on breaker
     /// trip: the structurally distinct algorithm the verify ladder also
     /// cross-checks NTT products against.

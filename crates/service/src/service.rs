@@ -559,9 +559,6 @@ impl MulService {
             config.batching.queue_capacity > 0,
             "batching.queue_capacity must be >= 1"
         );
-        // Route ft-bigint's process-wide fast-multiply hook (BigInt::pow,
-        // residue checks, …) through the Toom auto-dispatcher.
-        let _ = ft_toom_core::seq::install_fast_mul_hook();
         let shared = Arc::new(Shared::new(config));
         // Resolve both Toom plans up front: the first coalesced batch
         // should not pay plan construction inside its latency.

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== 9 Mbit NTT product vs Karatsuba (release, ignored by default) =="
+# Two 9 437 184-bit operands, the service's largest benchmark class: the
+# NTT (a 2^19-point transform of base-2^48 digits) must agree with
+# Karatsuba bit for bit. No timing is asserted.
+cargo test --release -q -p ft-bigint --test ntt_big -- --ignored
+
 echo "== perfbench build + tests (its own workspace) =="
 # perfbench is a separate cargo workspace, so `cargo test --workspace`
 # never compiles it. Building and testing it here catches a change to
