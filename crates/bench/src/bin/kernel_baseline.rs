@@ -11,16 +11,13 @@
 //! `cargo run --release -p ft-bench --features count-allocs --bin kernel_baseline`.
 //! Without the `count-allocs` feature the timing rows are still produced
 //! but allocation counts read as zero. `--quick` runs a reduced matrix and
-//! skips the JSON write (the CI smoke mode); `--record` prints rows as
-//! Rust constants for refreshing [`BASELINE`].
+//! skips the JSON write (the CI smoke mode).
 //!
-//! The `BASELINE` table embedded below was measured on this container at
-//! commit 4e12149, *before* the scratch-arena kernel layer landed, with
-//! the same operand generator and iteration policy — the JSON therefore
-//! carries its own before/after comparison.
+//! Every figure comes from the same run on the same host: the JSON
+//! records that host (`nproc`, CPU model, commit) and each row's
+//! iteration count, and compares kernels only against each other.
 
-use ft_bench::counting_alloc;
-use ft_bench::operands;
+use ft_bench::{counting_alloc, host_json, operands};
 use ft_bigint::BigInt;
 use ft_toom_core::{rayon_engine, seq};
 use std::time::Instant;
@@ -28,32 +25,6 @@ use std::time::Instant;
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAllocator = counting_alloc::CountingAllocator::new();
-
-/// Pre-change reference numbers: `(kernel, bits, ns_per_op, allocs_per_op)`.
-/// Measured at seed commit 4e12149 (allocating `Vec`-per-op kernels,
-/// clone-heavy Toom recursion) on the CI container.
-const BASELINE: &[(&str, u64, f64, f64)] = &[
-    ("schoolbook", 1_024, 285.6, 1.0),
-    ("schoolbook", 4_096, 4_513.7, 1.0),
-    ("schoolbook", 16_384, 68_427.8, 1.0),
-    ("schoolbook", 65_536, 1_147_891.9, 1.0),
-    ("schoolbook", 262_144, 18_428_039.7, 1.0),
-    ("karatsuba", 1_024, 344.4, 3.0),
-    ("karatsuba", 4_096, 6_098.8, 47.0),
-    ("karatsuba", 16_384, 78_387.5, 590.0),
-    ("karatsuba", 65_536, 790_936.7, 5_436.0),
-    ("karatsuba", 262_144, 7_147_911.6, 49_427.0),
-    ("seq_toom", 1_024, 335.5, 3.0),
-    ("seq_toom", 4_096, 9_467.2, 108.0),
-    ("seq_toom", 16_384, 78_182.2, 633.0),
-    ("seq_toom", 65_536, 693_505.1, 3_258.0),
-    ("seq_toom", 262_144, 7_795_775.3, 82_008.0),
-    ("par_toom", 1_024, 368.2, 3.0),
-    ("par_toom", 4_096, 107_155.9, 124.0),
-    ("par_toom", 16_384, 849_578.6, 729.1),
-    ("par_toom", 65_536, 1_633_266.0, 3_354.2),
-    ("par_toom", 262_144, 9_488_621.3, 82_104.0),
-];
 
 const SIZES: [u64; 5] = [1_024, 4_096, 16_384, 65_536, 262_144];
 const QUICK_SIZES: [u64; 2] = [1_024, 16_384];
@@ -82,6 +53,7 @@ struct Row {
     ns_per_op: f64,
     allocs_per_op: f64,
     bytes_per_op: f64,
+    iters: u64,
 }
 
 type KernelFn = Box<dyn Fn(&BigInt, &BigInt) -> BigInt>;
@@ -144,74 +116,66 @@ fn measure(
         ns_per_op: elapsed / iters as f64,
         allocs_per_op: allocs as f64 / iters as f64,
         bytes_per_op: bytes as f64 / iters as f64,
+        iters,
     }
-}
-
-fn baseline_for(kernel: &str, bits: u64) -> Option<(f64, f64)> {
-    BASELINE
-        .iter()
-        .find(|(k, b, _, _)| *k == kernel && *b == bits)
-        .map(|&(_, _, ns, allocs)| (ns, allocs))
 }
 
 /// One point on the big-operand crossover curve.
 struct CrossoverRow {
     bits: u64,
-    toom3_ns: f64,
-    ntt_ns: f64,
+    toom3: Row,
+    ntt: Row,
 }
 
 /// Measure the Toom-3 vs NTT crossover at the given sizes (best-effort
-/// single-pass: one warmup plus calibrated iterations per kernel, like
-/// [`measure`] but without the allocation counters — the arena makes the
-/// NTT warm path allocation-free, pinned by the alloc_regression test).
+/// single pass: one warmup plus calibrated iterations per kernel through
+/// [`measure`]; only times and iteration counts are reported — the arena
+/// makes the NTT warm path allocation-free, pinned by the
+/// alloc_regression test).
 fn measure_crossover(sizes: &[u64], quick: bool) -> Vec<CrossoverRow> {
     sizes
         .iter()
-        .map(|&bits| {
-            let toom3 = measure("seq_toom", &|a, b| seq::toom_k(a, b, 3), bits, quick);
-            let ntt = measure("ntt", &|a, b| a.mul_ntt(b), bits, quick);
-            CrossoverRow {
-                bits,
-                toom3_ns: toom3.ns_per_op,
-                ntt_ns: ntt.ns_per_op,
-            }
+        .map(|&bits| CrossoverRow {
+            bits,
+            toom3: measure("seq_toom", &|a, b| seq::toom_k(a, b, 3), bits, quick),
+            ntt: measure("ntt", &|a, b| a.mul_ntt(b), bits, quick),
         })
         .collect()
 }
 
+impl CrossoverRow {
+    fn ratio(&self) -> f64 {
+        self.toom3.ns_per_op / self.ntt.ns_per_op
+    }
+}
+
 fn json_escape_free(rows: &[Row], crossover: &[CrossoverRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"kernel_baseline\",\n  \"units\": {\"time\": \"ns/op\", \"allocs\": \"calls/op\", \"bytes\": \"bytes/op\"},\n  \"rows\": [\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"kernel_baseline\",\n  \"host\": {},\n  \"units\": {{\"time\": \"ns/op\", \"allocs\": \"calls/op\", \"bytes\": \"bytes/op\"}},\n  \"rows\": [\n",
+        host_json()
+    );
     for (i, r) in rows.iter().enumerate() {
-        let (base_ns, base_allocs) = baseline_for(r.kernel, r.bits).unwrap_or((f64::NAN, f64::NAN));
-        let speedup = base_ns / r.ns_per_op;
-        let alloc_ratio = if r.allocs_per_op > 0.0 {
-            base_allocs / r.allocs_per_op
-        } else {
-            f64::INFINITY
-        };
         out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"bits\": {}, \"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}, \"bytes_per_op\": {:.0}, \"baseline_ns_per_op\": {:.1}, \"baseline_allocs_per_op\": {:.2}, \"speedup\": {:.3}, \"alloc_reduction\": {}}}{}\n",
+            "    {{\"kernel\": \"{}\", \"bits\": {}, \"iters\": {}, \"ns_per_op\": {:.1}, \"allocs_per_op\": {:.2}, \"bytes_per_op\": {:.0}}}{}\n",
             r.kernel,
             r.bits,
+            r.iters,
             r.ns_per_op,
             r.allocs_per_op,
             r.bytes_per_op,
-            base_ns,
-            base_allocs,
-            speedup,
-            if alloc_ratio.is_finite() { format!("{alloc_ratio:.2}") } else { "null".to_string() },
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n  \"ntt_crossover\": [\n");
     for (i, r) in crossover.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"bits\": {}, \"seq_toom_ns\": {:.0}, \"ntt_ns\": {:.0}, \"toom_over_ntt\": {:.3}}}{}\n",
+            "    {{\"bits\": {}, \"seq_toom_iters\": {}, \"seq_toom_ns\": {:.0}, \"ntt_iters\": {}, \"ntt_ns\": {:.0}, \"toom_over_ntt\": {:.3}}}{}\n",
             r.bits,
-            r.toom3_ns,
-            r.ntt_ns,
-            r.toom3_ns / r.ntt_ns,
+            r.toom3.iters,
+            r.toom3.ns_per_op,
+            r.ntt.iters,
+            r.ntt.ns_per_op,
+            r.ratio(),
             if i + 1 == crossover.len() { "" } else { "," }
         ));
     }
@@ -222,7 +186,6 @@ fn json_escape_free(rows: &[Row], crossover: &[CrossoverRow]) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let record = args.iter().any(|a| a == "--record");
     let counting = cfg!(feature = "count-allocs");
     let sizes: &[u64] = if quick { &QUICK_SIZES } else { &SIZES };
     println!(
@@ -234,39 +197,20 @@ fn main() {
             "OFF — build with --features count-allocs"
         },
     );
+    println!("host {}", host_json());
     println!(
-        "{:<12} {:>9} {:>14} {:>12} {:>12} {:>9} {:>9}",
-        "kernel", "bits", "ns/op", "allocs/op", "bytes/op", "speedup", "allocs÷"
+        "{:<12} {:>9} {:>7} {:>14} {:>12} {:>12}",
+        "kernel", "bits", "iters", "ns/op", "allocs/op", "bytes/op"
     );
     let mut rows = Vec::new();
     for (name, f) in kernels() {
         for &bits in sizes {
             let row = measure(name, f.as_ref(), bits, quick);
-            let (base_ns, base_allocs) = baseline_for(name, bits).unwrap_or((f64::NAN, f64::NAN));
             println!(
-                "{:<12} {:>9} {:>14.1} {:>12.2} {:>12.0} {:>8.2}x {:>8.1}x",
-                row.kernel,
-                row.bits,
-                row.ns_per_op,
-                row.allocs_per_op,
-                row.bytes_per_op,
-                base_ns / row.ns_per_op,
-                if row.allocs_per_op > 0.0 {
-                    base_allocs / row.allocs_per_op
-                } else {
-                    f64::NAN
-                },
+                "{:<12} {:>9} {:>7} {:>14.1} {:>12.2} {:>12.0}",
+                row.kernel, row.bits, row.iters, row.ns_per_op, row.allocs_per_op, row.bytes_per_op,
             );
             rows.push(row);
-        }
-    }
-    if record {
-        println!("\n// --- paste into BASELINE ---");
-        for r in &rows {
-            println!(
-                "    (\"{}\", {}, {:.1}, {:.1}),",
-                r.kernel, r.bits, r.ns_per_op, r.allocs_per_op
-            );
         }
     }
 
@@ -281,9 +225,9 @@ fn main() {
         println!(
             "{:<12} {:>14.0} {:>14.0} {:>9.2}x",
             r.bits,
-            r.toom3_ns,
-            r.ntt_ns,
-            r.toom3_ns / r.ntt_ns
+            r.toom3.ns_per_op,
+            r.ntt.ns_per_op,
+            r.ratio()
         );
     }
     if !quick {
@@ -295,7 +239,7 @@ fn main() {
             .find(|r| r.bits == CROSSOVER_GATE_BITS)
             .expect("BIG_SIZES holds the crossover gate size");
         for (row, gate) in [(last, NTT_GATE_RATIO), (at_gate, CROSSOVER_GATE_RATIO)] {
-            let ratio = row.toom3_ns / row.ntt_ns;
+            let ratio = row.ratio();
             assert!(
                 ratio >= gate,
                 "NTT speedup {ratio:.2}x over Toom-3 at {} bits breaches the {gate}x gate",

@@ -19,6 +19,7 @@ pub mod counting_alloc;
 
 use ft_bigint::BigInt;
 use ft_machine::{CostVector, FaultPlan};
+use ft_service::json::{obj, Json};
 use ft_toom_core::baselines::{run_replicated, ReplicationConfig};
 use ft_toom_core::cost::{self, CostModelInput};
 use ft_toom_core::ft::combined::{run_combined_ft, CombinedConfig};
@@ -27,6 +28,35 @@ use ft_toom_core::ft::multistep::{run_multistep_ft, MultistepConfig};
 use ft_toom_core::ft::poly::{run_poly_ft, PolyFtConfig};
 use ft_toom_core::parallel::{run_parallel, ParallelConfig};
 use rand::SeedableRng;
+
+/// Host fingerprint for a `BENCH_*.json` record, as a JSON object:
+/// `nproc`, the CPU model (`model name` of `/proc/cpuinfo`) and the
+/// checked-out commit (`git rev-parse HEAD`); either of the last two
+/// reads `"unknown"` where it cannot be found.
+#[must_use]
+pub fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        });
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
+    let text = |s: Option<String>| Json::Str(s.unwrap_or_else(|| "unknown".to_string()));
+    obj([
+        ("nproc", Json::Num(nproc as i128)),
+        ("cpu", text(cpu)),
+        ("commit", text(commit)),
+    ])
+    .dump()
+}
 
 /// A deterministic random operand pair.
 #[must_use]

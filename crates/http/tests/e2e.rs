@@ -280,3 +280,32 @@ fn shutdown_closes_the_socket() {
     };
     assert!(refused, "server still serving after shutdown");
 }
+
+/// A body of 1 MiB of `[` (well under the body limit) is a 400, not a
+/// parser stack overflow that aborts the process; the same connection is
+/// served bit-exact afterwards.
+#[test]
+fn deeply_nested_body_is_a_400_and_serving_continues() {
+    let server = start_server();
+    let mut client = connect(&server);
+    let body = vec![b'['; 1 << 20];
+    for route in ["/v1/mul", "/v1/mul/batch"] {
+        let rsp = client.request("POST", route, Some(&body)).unwrap();
+        assert_eq!(rsp.status, 400, "{route}: {}", rsp.text());
+        assert_eq!(
+            Json::parse(&rsp.text()).unwrap().get("error"),
+            Some(&Json::Str("bad_json".to_string())),
+            "{route}"
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(77);
+    let a = BigInt::random_signed_bits(&mut rng, 3_000);
+    let b = BigInt::random_signed_bits(&mut rng, 3_000);
+    let rsp = client
+        .request("POST", "/v1/mul", Some(mul_body(&a, &b).as_bytes()))
+        .unwrap();
+    assert_eq!(rsp.status, 200, "{}", rsp.text());
+    assert_eq!(product_of(&rsp.text()), a.mul_schoolbook(&b));
+    let (_, leftover) = server.shutdown();
+    assert_eq!(leftover, 0);
+}

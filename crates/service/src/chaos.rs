@@ -13,9 +13,9 @@
 //!
 //! Faults are drawn from `(seed, request index, attempt)` only, so a chaos
 //! run is exactly reproducible for a given seed regardless of worker
-//! scheduling. Config is JSON-loadable like `KernelPolicy`.
+//! scheduling. The plan is the `chaos` section of the service config.
 
-use crate::config::ConfigError;
+use crate::config::{rule, ConfigError, Knob, Knobs, Section};
 use crate::json::{obj, Json};
 use ft_bigint::{BigInt, Sign};
 use rand::rngs::StdRng;
@@ -120,8 +120,8 @@ impl CorruptionKind {
     }
 }
 
-/// A JSON-loadable chaos plan. Rates are per 10 000 requests; a request
-/// draws at most one fault per attempt.
+/// A chaos plan (the config's `chaos` section). Rates are per 10 000
+/// requests; a request draws at most one fault per attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed of the deterministic fault stream.
@@ -311,200 +311,134 @@ impl ChaosConfig {
             }
         }
     }
+}
 
-    /// Read a chaos plan from a parsed JSON object; absent fields keep
-    /// their defaults. `force` entries are `{"index": N, "kind": "panic"}`.
-    pub fn from_json(json: &Json) -> Result<ChaosConfig, ConfigError> {
-        let d = ChaosConfig::default();
-        crate::config::check_keys(json, &d.to_json_value(), "chaos")?;
-        let get_u64 = |key: &str, default: u64| -> Result<u64, ConfigError> {
-            match json.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_u64().ok_or_else(|| {
-                    ConfigError::Invalid(format!("chaos.{key} must be a non-negative integer"))
-                }),
-            }
-        };
-        let get_u32 = |key: &str, default: u32| -> Result<u32, ConfigError> {
-            get_u64(key, u64::from(default)).and_then(|v| {
-                u32::try_from(v)
-                    .map_err(|_| ConfigError::Invalid(format!("chaos.{key} out of range")))
-            })
-        };
-        let corruption = match json.get("corruption") {
-            None => d.corruption,
-            Some(Json::Str(name)) => CorruptionKind::from_name(name).ok_or_else(|| {
-                ConfigError::Invalid(
-                    "chaos.corruption must be \"single_limb\" or \"residue_evading\"".to_string(),
-                )
-            })?,
-            Some(_) => {
-                return Err(ConfigError::Invalid(
-                    "chaos.corruption must be a string".to_string(),
-                ))
-            }
-        };
-        let escalate_panics = match json.get("escalate_panics") {
-            None => d.escalate_panics,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("chaos.escalate_panics must be a boolean".to_string())
-            })?,
-        };
-        let force = match json.get("force") {
-            None => d.force.clone(),
-            Some(Json::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let index = item
-                        .get("index")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(invalid_force)?;
-                    let kind = match item.get("kind") {
-                        Some(Json::Str(name)) => {
-                            FaultKind::from_name(name).ok_or_else(invalid_force)?
-                        }
-                        _ => return Err(invalid_force()),
-                    };
-                    if kind.is_shard_fault() {
-                        return Err(invalid_force());
-                    }
-                    out.push((index, kind));
-                }
-                out
-            }
-            Some(_) => return Err(invalid_force()),
-        };
-        let force_shard = match json.get("force_shard") {
-            None => d.force_shard.clone(),
-            Some(Json::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let shard = item
-                        .get("shard")
-                        .and_then(Json::as_u64)
-                        .and_then(|v| usize::try_from(v).ok())
-                        .ok_or_else(invalid_force_shard)?;
-                    let round = item
-                        .get("round")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(invalid_force_shard)?;
-                    let kind = match item.get("kind") {
-                        Some(Json::Str(name)) => {
-                            FaultKind::from_name(name).ok_or_else(invalid_force_shard)?
-                        }
-                        _ => return Err(invalid_force_shard()),
-                    };
-                    if !kind.is_shard_fault() {
-                        return Err(invalid_force_shard());
-                    }
-                    out.push((shard, round, kind));
-                }
-                out
-            }
-            Some(_) => return Err(invalid_force_shard()),
-        };
-        let cfg = ChaosConfig {
-            seed: get_u64("seed", d.seed)?,
-            panic_per_10k: get_u32("panic_per_10k", d.panic_per_10k)?,
-            straggle_per_10k: get_u32("straggle_per_10k", d.straggle_per_10k)?,
-            corrupt_per_10k: get_u32("corrupt_per_10k", d.corrupt_per_10k)?,
-            corruption,
-            straggle_ms: get_u64("straggle_ms", d.straggle_ms)?,
-            max_faulty_attempts: get_u32("max_faulty_attempts", d.max_faulty_attempts)?,
-            escalate_panics,
-            force,
-            shard_kill_per_10k: get_u32("shard_kill_per_10k", d.shard_kill_per_10k)?,
-            shard_stall_per_10k: get_u32("shard_stall_per_10k", d.shard_stall_per_10k)?,
-            stall_rounds: get_u64("stall_rounds", d.stall_rounds)?,
-            force_shard,
-        };
-        if cfg.panic_per_10k + cfg.straggle_per_10k + cfg.corrupt_per_10k > 10_000 {
-            return Err(ConfigError::Invalid(
-                "chaos fault rates must sum to at most 10000 per 10k".to_string(),
-            ));
-        }
-        if cfg.shard_kill_per_10k + cfg.shard_stall_per_10k > 10_000 {
-            return Err(ConfigError::Invalid(
-                "chaos shard fault rates must sum to at most 10000 per 10k".to_string(),
-            ));
-        }
-        Ok(cfg)
+impl Section for ChaosConfig {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("seed", &mut self.seed),
+            ("panic_per_10k", &mut self.panic_per_10k),
+            ("straggle_per_10k", &mut self.straggle_per_10k),
+            ("corrupt_per_10k", &mut self.corrupt_per_10k),
+            ("corruption", &mut self.corruption),
+            ("straggle_ms", &mut self.straggle_ms),
+            ("max_faulty_attempts", &mut self.max_faulty_attempts),
+            ("escalate_panics", &mut self.escalate_panics),
+            ("force", &mut self.force),
+            ("shard_kill_per_10k", &mut self.shard_kill_per_10k),
+            ("shard_stall_per_10k", &mut self.shard_stall_per_10k),
+            ("stall_rounds", &mut self.stall_rounds),
+            ("force_shard", &mut self.force_shard),
+        ]
     }
 
-    pub(crate) fn to_json_value(&self) -> Json {
-        obj([
-            ("seed", Json::Num(i128::from(self.seed))),
-            ("panic_per_10k", Json::Num(i128::from(self.panic_per_10k))),
-            (
-                "straggle_per_10k",
-                Json::Num(i128::from(self.straggle_per_10k)),
-            ),
-            (
-                "corrupt_per_10k",
-                Json::Num(i128::from(self.corrupt_per_10k)),
-            ),
-            ("corruption", Json::Str(self.corruption.name().to_string())),
-            ("straggle_ms", Json::Num(i128::from(self.straggle_ms))),
-            (
-                "max_faulty_attempts",
-                Json::Num(i128::from(self.max_faulty_attempts)),
-            ),
-            ("escalate_panics", Json::Bool(self.escalate_panics)),
-            (
-                "force",
-                Json::Arr(
-                    self.force
-                        .iter()
-                        .map(|&(index, kind)| {
-                            obj([
-                                ("index", Json::Num(i128::from(index))),
-                                ("kind", Json::Str(kind.name().to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "shard_kill_per_10k",
-                Json::Num(i128::from(self.shard_kill_per_10k)),
-            ),
-            (
-                "shard_stall_per_10k",
-                Json::Num(i128::from(self.shard_stall_per_10k)),
-            ),
-            ("stall_rounds", Json::Num(i128::from(self.stall_rounds))),
-            (
-                "force_shard",
-                Json::Arr(
-                    self.force_shard
-                        .iter()
-                        .map(|&(shard, round, kind)| {
-                            obj([
-                                ("shard", Json::Num(shard as i128)),
-                                ("round", Json::Num(i128::from(round))),
-                                ("kind", Json::Str(kind.name().to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(
+            self.panic_per_10k + self.straggle_per_10k + self.corrupt_per_10k <= 10_000,
+            "chaos fault rates must sum to at most 10000 per 10k",
+        )?;
+        rule(
+            self.shard_kill_per_10k + self.shard_stall_per_10k <= 10_000,
+            "chaos shard fault rates must sum to at most 10000 per 10k",
+        )
     }
 }
 
-fn invalid_force() -> ConfigError {
-    ConfigError::Invalid(
-        "chaos.force must be an array of {\"index\": N, \"kind\": \"panic|straggle|corrupt\"}"
-            .to_string(),
-    )
+/// `chaos.corruption`, by name.
+impl Knob for CorruptionKind {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        let Json::Str(name) = json else {
+            return Err(ConfigError::Invalid(format!("{path} must be a string")));
+        };
+        *self = CorruptionKind::from_name(name).ok_or_else(|| {
+            ConfigError::Invalid(format!(
+                "{path} must be \"single_limb\" or \"residue_evading\""
+            ))
+        })?;
+        Ok(())
+    }
+
+    fn write(&self) -> Json {
+        Json::Str(self.name().to_string())
+    }
 }
 
-fn invalid_force_shard() -> ConfigError {
-    ConfigError::Invalid(
-        "chaos.force_shard must be an array of \
-         {\"shard\": N, \"round\": R, \"kind\": \"shard_kill|shard_stall\"}"
-            .to_string(),
-    )
+/// `chaos.force`: `[{"index": N, "kind": "panic|straggle|corrupt"}]`.
+impl Knob for Vec<(u64, FaultKind)> {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        *self = read_entries(
+            json,
+            path,
+            r#"{"index": N, "kind": "panic|straggle|corrupt"}"#,
+            |e| Some((e.get("index")?.as_u64()?, entry_kind(e, false)?)),
+        )?;
+        Ok(())
+    }
+
+    fn write(&self) -> Json {
+        Json::Arr(
+            self.iter()
+                .map(|&(index, kind)| obj([("index", index.write()), ("kind", kind_json(kind))]))
+                .collect(),
+        )
+    }
+}
+
+/// `chaos.force_shard`: `[{"shard": N, "round": R, "kind":
+/// "shard_kill|shard_stall"}]`.
+impl Knob for Vec<(usize, u64, FaultKind)> {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        let shape = r#"{"shard": N, "round": R, "kind": "shard_kill|shard_stall"}"#;
+        *self = read_entries(json, path, shape, |e| {
+            Some((
+                e.get("shard")?.as_usize()?,
+                e.get("round")?.as_u64()?,
+                entry_kind(e, true)?,
+            ))
+        })?;
+        Ok(())
+    }
+
+    fn write(&self) -> Json {
+        Json::Arr(
+            self.iter()
+                .map(|&(shard, round, kind)| {
+                    obj([
+                        ("shard", shard.write()),
+                        ("round", round.write()),
+                        ("kind", kind_json(kind)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Read a forced-fault list; any entry `entry` cannot read fails the
+/// whole list, naming the entry `shape`.
+fn read_entries<T>(
+    json: &Json,
+    path: &str,
+    shape: &str,
+    entry: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, ConfigError> {
+    let invalid = || ConfigError::Invalid(format!("{path} must be an array of {shape}"));
+    let Json::Arr(items) = json else {
+        return Err(invalid());
+    };
+    items.iter().map(|e| entry(e).ok_or_else(invalid)).collect()
+}
+
+/// A forced entry's `kind`, if it names a fault of the wanted level.
+fn entry_kind(entry: &Json, shard_level: bool) -> Option<FaultKind> {
+    match entry.get("kind")? {
+        Json::Str(name) => FaultKind::from_name(name).filter(|k| k.is_shard_fault() == shard_level),
+        _ => None,
+    }
+}
+
+fn kind_json(kind: FaultKind) -> Json {
+    Json::Str(kind.name().to_string())
 }
 
 /// Install a process-wide panic hook that silences the backtrace spam from
@@ -539,6 +473,7 @@ pub fn install_quiet_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::read_section;
 
     fn active_config() -> ChaosConfig {
         ChaosConfig {
@@ -675,29 +610,29 @@ mod tests {
             stall_rounds: 6,
             force_shard: vec![(2, 11, FaultKind::ShardStall), (0, 4, FaultKind::ShardKill)],
         };
-        let text = cfg.to_json_value().dump();
-        let parsed = ChaosConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = cfg.write().dump();
+        let parsed = read_section::<ChaosConfig>(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, cfg);
     }
 
     #[test]
     fn json_rejects_bad_documents() {
         let over = r#"{"panic_per_10k": 9000, "corrupt_per_10k": 2000}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(over).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(over).unwrap()).is_err());
         let bad_kind = r#"{"force": [{"index": 1, "kind": "meltdown"}]}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_kind).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(bad_kind).unwrap()).is_err());
         let bad_bool = r#"{"escalate_panics": 3}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_bool).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(bad_bool).unwrap()).is_err());
         let bad_corruption = r#"{"corruption": "cosmic_ray"}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_corruption).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(bad_corruption).unwrap()).is_err());
         let bad_corruption_type = r#"{"corruption": 7}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(bad_corruption_type).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(bad_corruption_type).unwrap()).is_err());
         // Shard kinds are rejected in request-level force, and vice versa.
         let shard_in_force = r#"{"force": [{"index": 1, "kind": "shard_kill"}]}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(shard_in_force).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(shard_in_force).unwrap()).is_err());
         let req_in_shard = r#"{"force_shard": [{"shard": 0, "round": 1, "kind": "panic"}]}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(req_in_shard).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(req_in_shard).unwrap()).is_err());
         let over_shard = r#"{"shard_kill_per_10k": 9000, "shard_stall_per_10k": 2000}"#;
-        assert!(ChaosConfig::from_json(&Json::parse(over_shard).unwrap()).is_err());
+        assert!(read_section::<ChaosConfig>(&Json::parse(over_shard).unwrap()).is_err());
     }
 }

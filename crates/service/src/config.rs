@@ -1,12 +1,18 @@
 //! Service configuration, loadable from JSON.
 //!
-//! The JSON round-trip is implemented directly via [`crate::json`]. Every
-//! `from_json` rejects keys its section does not know (see
-//! [`check_keys`]), so a config that still sets a removed or misspelt
-//! knob fails instead of silently running on a default.
+//! Every config section lists each of its knobs once, as
+//! `(json key, &mut field)`, plus the cross-field rules it checks (the
+//! crate-private `Section` trait). One generic reader builds a section
+//! from its `Default`: it rejects a non-object section and any key the
+//! section does not list, naming the full path (`"batching.lanes"`), so a
+//! config that still sets a removed or misspelt knob fails instead of
+//! silently running on a default, and it reads each present key by its
+//! type. One generic writer builds the JSON from the same list. The
+//! public entry points are [`ServiceConfig::from_json`] /
+//! [`ServiceConfig::to_json`] and their [`ShardConfig`] twins.
 
 use crate::chaos::ChaosConfig;
-use crate::json::{obj, Json, JsonError};
+use crate::json::{Json, JsonError};
 use crate::supervisor::{BreakerPolicy, RetryPolicy};
 use crate::verify::VerifyPolicy;
 use ft_toom_core::seq;
@@ -193,184 +199,81 @@ impl Default for DistributedConfig {
     }
 }
 
-impl DistributedConfig {
-    /// Read a distributed config from a parsed JSON object; absent fields
-    /// keep their defaults.
-    pub fn from_json(json: &Json) -> Result<DistributedConfig, ConfigError> {
-        let d = DistributedConfig::default();
-        check_keys(json, &d.to_json_value(), "distributed")?;
-        let enabled = match json.get("enabled") {
-            None => d.enabled,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("distributed.enabled must be a boolean".to_string())
-            })?,
-        };
-        let cfg = DistributedConfig {
-            enabled,
-            k: field_usize(json, "k", d.k)?,
-            bfs_steps: field_usize(json, "bfs_steps", d.bfs_steps)?,
-            f: field_usize(json, "f", d.f)?,
-            min_group: field_usize(json, "min_group", d.min_group)?,
-            min_bits: field_u64(json, "min_bits", d.min_bits)?,
-            max_bits: field_u64(json, "max_bits", d.max_bits)?,
-            fault_seed: field_u64(json, "fault_seed", d.fault_seed)?,
-            hard_faults_per_run: field_u32(json, "hard_faults_per_run", d.hard_faults_per_run)?,
-            delay_ranks: field_u32(json, "delay_ranks", d.delay_ranks)?,
-            delay_factor: field_u64(json, "delay_factor", d.delay_factor)?,
-            faulty_attempts: field_u32(json, "faulty_attempts", d.faulty_attempts)?,
-            deadline_budget: field_u64(json, "deadline_budget", d.deadline_budget)?,
-            straggler_factor: field_u64(json, "straggler_factor", d.straggler_factor)?,
-            heartbeat_period: field_u64(json, "heartbeat_period", d.heartbeat_period)?,
-            recursion_detect: match json.get("recursion_detect") {
-                None => d.recursion_detect,
-                Some(v) => v.as_bool().ok_or_else(|| {
-                    ConfigError::Invalid(
-                        "distributed.recursion_detect must be a boolean".to_string(),
-                    )
-                })?,
-            },
-        };
-        if cfg.k < 2 {
-            return Err(ConfigError::Invalid(
-                "distributed.k must be >= 2".to_string(),
-            ));
-        }
-        if cfg.bfs_steps == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.bfs_steps must be >= 1".to_string(),
-            ));
-        }
-        if cfg.min_group == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.min_group must be >= 1".to_string(),
-            ));
-        }
-        if cfg.min_bits > cfg.max_bits {
-            return Err(ConfigError::Invalid(
-                "distributed.min_bits must not exceed distributed.max_bits".to_string(),
-            ));
-        }
-        if cfg.delay_factor == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.delay_factor must be >= 1".to_string(),
-            ));
-        }
-        if cfg.heartbeat_period == 0 {
-            return Err(ConfigError::Invalid(
-                "distributed.heartbeat_period must be >= 1".to_string(),
-            ));
-        }
-        Ok(cfg)
+impl Section for DistributedConfig {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("enabled", &mut self.enabled),
+            ("k", &mut self.k),
+            ("bfs_steps", &mut self.bfs_steps),
+            ("f", &mut self.f),
+            ("min_group", &mut self.min_group),
+            ("min_bits", &mut self.min_bits),
+            ("max_bits", &mut self.max_bits),
+            ("fault_seed", &mut self.fault_seed),
+            ("hard_faults_per_run", &mut self.hard_faults_per_run),
+            ("delay_ranks", &mut self.delay_ranks),
+            ("delay_factor", &mut self.delay_factor),
+            ("faulty_attempts", &mut self.faulty_attempts),
+            ("deadline_budget", &mut self.deadline_budget),
+            ("straggler_factor", &mut self.straggler_factor),
+            ("heartbeat_period", &mut self.heartbeat_period),
+            ("recursion_detect", &mut self.recursion_detect),
+        ]
     }
 
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("enabled", Json::Bool(self.enabled)),
-            ("k", Json::Num(self.k as i128)),
-            ("bfs_steps", Json::Num(self.bfs_steps as i128)),
-            ("f", Json::Num(self.f as i128)),
-            ("min_group", Json::Num(self.min_group as i128)),
-            ("min_bits", Json::Num(i128::from(self.min_bits))),
-            ("max_bits", Json::Num(i128::from(self.max_bits))),
-            ("fault_seed", Json::Num(i128::from(self.fault_seed))),
-            (
-                "hard_faults_per_run",
-                Json::Num(i128::from(self.hard_faults_per_run)),
-            ),
-            ("delay_ranks", Json::Num(i128::from(self.delay_ranks))),
-            ("delay_factor", Json::Num(i128::from(self.delay_factor))),
-            (
-                "faulty_attempts",
-                Json::Num(i128::from(self.faulty_attempts)),
-            ),
-            (
-                "deadline_budget",
-                Json::Num(i128::from(self.deadline_budget)),
-            ),
-            (
-                "straggler_factor",
-                Json::Num(i128::from(self.straggler_factor)),
-            ),
-            (
-                "heartbeat_period",
-                Json::Num(i128::from(self.heartbeat_period)),
-            ),
-            ("recursion_detect", Json::Bool(self.recursion_detect)),
-        ])
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(self.k >= 2, "distributed.k must be >= 2")?;
+        rule(self.bfs_steps >= 1, "distributed.bfs_steps must be >= 1")?;
+        rule(self.min_group >= 1, "distributed.min_group must be >= 1")?;
+        rule(
+            self.min_bits <= self.max_bits,
+            "distributed.min_bits must not exceed distributed.max_bits",
+        )?;
+        rule(
+            self.delay_factor >= 1,
+            "distributed.delay_factor must be >= 1",
+        )?;
+        rule(
+            self.heartbeat_period >= 1,
+            "distributed.heartbeat_period must be >= 1",
+        )
     }
 }
 
-impl BatchingConfig {
-    /// Read a batching config from a parsed JSON object; absent fields
-    /// keep their defaults.
-    pub fn from_json(json: &Json) -> Result<BatchingConfig, ConfigError> {
-        let d = BatchingConfig::default();
-        check_keys(json, &d.to_json_value(), "batching")?;
-        let cfg = BatchingConfig {
-            window_us: field_u64(json, "window_us", d.window_us)?,
-            max_batch: field_usize(json, "max_batch", d.max_batch)?,
-            queue_capacity: field_usize(json, "queue_capacity", d.queue_capacity)?,
-        };
-        if cfg.max_batch == 0 {
-            return Err(ConfigError::Invalid(
-                "batching.max_batch must be >= 1".to_string(),
-            ));
-        }
-        if cfg.queue_capacity == 0 {
-            return Err(ConfigError::Invalid(
-                "batching.queue_capacity must be >= 1".to_string(),
-            ));
-        }
-        Ok(cfg)
+impl Section for BatchingConfig {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("window_us", &mut self.window_us),
+            ("max_batch", &mut self.max_batch),
+            ("queue_capacity", &mut self.queue_capacity),
+        ]
     }
 
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("window_us", Json::Num(i128::from(self.window_us))),
-            ("max_batch", Json::Num(self.max_batch as i128)),
-            ("queue_capacity", Json::Num(self.queue_capacity as i128)),
-        ])
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(self.max_batch >= 1, "batching.max_batch must be >= 1")?;
+        rule(
+            self.queue_capacity >= 1,
+            "batching.queue_capacity must be >= 1",
+        )
     }
 }
 
-impl TunerConfig {
-    /// Read a tuner config from a parsed JSON object; absent fields keep
-    /// their defaults.
-    pub fn from_json(json: &Json) -> Result<TunerConfig, ConfigError> {
-        let d = TunerConfig::default();
-        check_keys(json, &d.to_json_value(), "tuner")?;
-        let enabled = match json.get("enabled") {
-            None => d.enabled,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("tuner.enabled must be a boolean".to_string())
-            })?,
-        };
-        let cfg = TunerConfig {
-            enabled,
-            interval_ms: field_u64(json, "interval_ms", d.interval_ms)?,
-            min_samples: field_u64(json, "min_samples", d.min_samples)?,
-            slowdown_pct: field_u64(json, "slowdown_pct", d.slowdown_pct)?,
-        };
-        if cfg.interval_ms == 0 {
-            return Err(ConfigError::Invalid(
-                "tuner.interval_ms must be >= 1".to_string(),
-            ));
-        }
-        if cfg.slowdown_pct < 100 {
-            return Err(ConfigError::Invalid(
-                "tuner.slowdown_pct must be >= 100".to_string(),
-            ));
-        }
-        Ok(cfg)
+impl Section for TunerConfig {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("enabled", &mut self.enabled),
+            ("interval_ms", &mut self.interval_ms),
+            ("min_samples", &mut self.min_samples),
+            ("slowdown_pct", &mut self.slowdown_pct),
+        ]
     }
 
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("enabled", Json::Bool(self.enabled)),
-            ("interval_ms", Json::Num(i128::from(self.interval_ms))),
-            ("min_samples", Json::Num(i128::from(self.min_samples))),
-            ("slowdown_pct", Json::Num(i128::from(self.slowdown_pct))),
-        ])
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(self.interval_ms >= 1, "tuner.interval_ms must be >= 1")?;
+        rule(
+            self.slowdown_pct >= 100,
+            "tuner.slowdown_pct must be >= 100",
+        )
     }
 }
 
@@ -494,64 +397,37 @@ impl ShardConfig {
     /// assert_eq!(cfg.heartbeat_ms, ShardConfig::default().heartbeat_ms);
     /// ```
     pub fn from_json(text: &str) -> Result<ShardConfig, ConfigError> {
-        let json = Json::parse(text).map_err(ConfigError::Parse)?;
-        let d = ShardConfig::default();
-        check_keys(
-            &json,
-            &Json::parse(&d.to_json()).expect("topology JSON"),
-            "",
-        )?;
-        let service = match json.get("service") {
-            None => d.service.clone(),
-            Some(v) => ServiceConfig::from_json(&v.dump())?,
-        };
-        let cfg = ShardConfig {
-            shards: field_usize(&json, "shards", d.shards)?,
-            service,
-            heartbeat_ms: field_u64(&json, "heartbeat_ms", d.heartbeat_ms)?,
-            deadline_budget: field_u64(&json, "deadline_budget", d.deadline_budget)?,
-            hot_watermark: field_usize(&json, "hot_watermark", d.hot_watermark)?,
-            idle_watermark: field_usize(&json, "idle_watermark", d.idle_watermark)?,
-            max_failovers: field_u32(&json, "max_failovers", d.max_failovers)?,
-        };
-        if cfg.shards == 0 {
-            return Err(ConfigError::Invalid("shards must be >= 1".to_string()));
-        }
-        if cfg.heartbeat_ms == 0 {
-            return Err(ConfigError::Invalid(
-                "heartbeat_ms must be >= 1".to_string(),
-            ));
-        }
-        if cfg.deadline_budget == 0 {
-            return Err(ConfigError::Invalid(
-                "deadline_budget must be >= 1".to_string(),
-            ));
-        }
-        if cfg.idle_watermark > cfg.hot_watermark {
-            return Err(ConfigError::Invalid(
-                "idle_watermark must not exceed hot_watermark".to_string(),
-            ));
-        }
-        Ok(cfg)
+        read_section(&Json::parse(text).map_err(ConfigError::Parse)?)
     }
 
     /// Serialize to compact JSON (round-trips through [`Self::from_json`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let service = Json::parse(&self.service.to_json()).expect("service config JSON");
-        obj([
-            ("shards", Json::Num(self.shards as i128)),
-            ("service", service),
-            ("heartbeat_ms", Json::Num(i128::from(self.heartbeat_ms))),
-            (
-                "deadline_budget",
-                Json::Num(i128::from(self.deadline_budget)),
-            ),
-            ("hot_watermark", Json::Num(self.hot_watermark as i128)),
-            ("idle_watermark", Json::Num(self.idle_watermark as i128)),
-            ("max_failovers", Json::Num(i128::from(self.max_failovers))),
-        ])
-        .dump()
+        self.write().dump()
+    }
+}
+
+impl Section for ShardConfig {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("shards", &mut self.shards),
+            ("service", &mut self.service),
+            ("heartbeat_ms", &mut self.heartbeat_ms),
+            ("deadline_budget", &mut self.deadline_budget),
+            ("hot_watermark", &mut self.hot_watermark),
+            ("idle_watermark", &mut self.idle_watermark),
+            ("max_failovers", &mut self.max_failovers),
+        ]
+    }
+
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(self.shards >= 1, "shards must be >= 1")?;
+        rule(self.heartbeat_ms >= 1, "heartbeat_ms must be >= 1")?;
+        rule(self.deadline_budget >= 1, "deadline_budget must be >= 1")?;
+        rule(
+            self.idle_watermark <= self.hot_watermark,
+            "idle_watermark must not exceed hot_watermark",
+        )
     }
 }
 
@@ -575,111 +451,192 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Reject a section that is not an object, or any key of it that
-/// `template` — the section's serialized default — lacks, naming the key.
-pub(crate) fn check_keys(json: &Json, template: &Json, section: &str) -> Result<(), ConfigError> {
-    let path = |key: &str| {
-        if section.is_empty() {
-            key.to_string()
-        } else {
-            format!("{section}.{key}")
-        }
-    };
-    let (Json::Obj(given), Json::Obj(known)) = (json, template) else {
-        return Err(ConfigError::Invalid(format!(
-            "{} must be a JSON object",
-            if section.is_empty() {
-                "config"
-            } else {
-                section
-            }
-        )));
-    };
-    match given.keys().find(|key| !known.contains_key(*key)) {
-        Some(key) => Err(ConfigError::Invalid(format!(
-            "unknown config key {:?}",
-            path(key)
-        ))),
-        None => Ok(()),
+/// One config field: how it reads from and writes to JSON.
+pub(crate) trait Knob {
+    /// Replace `self` with the value `json` holds; `path` is the knob's
+    /// full dotted key, for error messages (`"distributed.k"`).
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError>;
+    /// The knob's JSON value.
+    fn write(&self) -> Json;
+}
+
+/// A section's knobs, each as `(json key, &mut field)`.
+pub(crate) type Knobs<'a> = Vec<(&'static str, &'a mut dyn Knob)>;
+
+/// One config section: a JSON object whose keys are its knobs.
+pub(crate) trait Section: Clone + Default {
+    /// Every knob of the section, each listed once.
+    fn knobs(&mut self) -> Knobs<'_>;
+
+    /// The section's cross-field rules, checked once its keys are read.
+    fn check(&self) -> Result<(), ConfigError> {
+        Ok(())
     }
 }
 
-pub(crate) fn field_u64(json: &Json, key: &str, default: u64) -> Result<u64, ConfigError> {
-    match json.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| ConfigError::Invalid(format!("{key} must be a non-negative integer"))),
+/// The generic reader: build a section from its `Default` and the keys
+/// a JSON document sets.
+pub(crate) fn read_section<S: Section>(json: &Json) -> Result<S, ConfigError> {
+    let mut section = S::default();
+    section.read(json, "")?;
+    Ok(section)
+}
+
+/// `Ok` when `holds`, else the `Invalid` error `message`.
+pub(crate) fn rule(holds: bool, message: &str) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(ConfigError::Invalid(message.to_string()))
     }
 }
 
-pub(crate) fn field_u32(json: &Json, key: &str, default: u32) -> Result<u32, ConfigError> {
-    let wide = field_u64(json, key, u64::from(default))?;
-    u32::try_from(wide)
-        .map_err(|_| ConfigError::Invalid(format!("{key} must fit in an unsigned 32-bit integer")))
-}
-
-pub(crate) fn field_usize(json: &Json, key: &str, default: usize) -> Result<usize, ConfigError> {
-    match json.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| ConfigError::Invalid(format!("{key} must be a non-negative integer"))),
-    }
-}
-
-impl KernelPolicy {
-    /// Read a policy from a parsed JSON object; absent fields keep their
-    /// defaults.
-    pub fn from_json(json: &Json) -> Result<KernelPolicy, ConfigError> {
-        let d = KernelPolicy::default();
-        check_keys(json, &d.to_json_value(), "kernel_policy")?;
-        let policy = KernelPolicy {
-            schoolbook_max_bits: field_u64(json, "schoolbook_max_bits", d.schoolbook_max_bits)?,
-            seq_toom_max_bits: field_u64(json, "seq_toom_max_bits", d.seq_toom_max_bits)?,
-            ntt_min_bits: field_u64(json, "ntt_min_bits", d.ntt_min_bits)?,
-            seq_toom_k: field_usize(json, "seq_toom_k", d.seq_toom_k)?,
-            par_toom_k: field_usize(json, "par_toom_k", d.par_toom_k)?,
-            toom_threshold_bits: field_u64(json, "toom_threshold_bits", d.toom_threshold_bits)?,
-            par_depth: field_usize(json, "par_depth", d.par_depth)?,
+/// A nested section: rejects a non-object and unknown keys by full path,
+/// reads the keys present (absent ones keep their values), then checks.
+impl<S: Section> Knob for S {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        let Json::Obj(given) = json else {
+            let name = if path.is_empty() { "config" } else { path };
+            return Err(ConfigError::Invalid(format!(
+                "{name} must be a JSON object"
+            )));
         };
-        if policy.schoolbook_max_bits > policy.seq_toom_max_bits {
-            return Err(ConfigError::Invalid(
-                "schoolbook_max_bits must not exceed seq_toom_max_bits".to_string(),
-            ));
+        let full = |key: &str| {
+            if path.is_empty() {
+                key.to_string()
+            } else {
+                format!("{path}.{key}")
+            }
+        };
+        let mut knobs = self.knobs();
+        if let Some(key) = given
+            .keys()
+            .find(|key| knobs.iter().all(|(known, _)| *known != key.as_str()))
+        {
+            return Err(ConfigError::Invalid(format!(
+                "unknown config key {:?}",
+                full(key)
+            )));
         }
-        if policy.seq_toom_max_bits > policy.ntt_min_bits {
-            return Err(ConfigError::Invalid(
-                "seq_toom_max_bits must not exceed ntt_min_bits".to_string(),
-            ));
+        for (key, knob) in &mut knobs {
+            if let Some(value) = given.get(*key) {
+                knob.read(value, &full(key))?;
+            }
         }
-        if policy.seq_toom_k < 2 || policy.par_toom_k < 2 {
-            return Err(ConfigError::Invalid(
-                "toom k parameters must be >= 2".to_string(),
-            ));
-        }
-        Ok(policy)
+        self.check()
     }
 
-    fn to_json_value(&self) -> Json {
-        obj([
-            (
-                "schoolbook_max_bits",
-                Json::Num(i128::from(self.schoolbook_max_bits)),
-            ),
-            (
-                "seq_toom_max_bits",
-                Json::Num(i128::from(self.seq_toom_max_bits)),
-            ),
-            ("ntt_min_bits", Json::Num(i128::from(self.ntt_min_bits))),
-            ("seq_toom_k", Json::Num(self.seq_toom_k as i128)),
-            ("par_toom_k", Json::Num(self.par_toom_k as i128)),
-            (
-                "toom_threshold_bits",
-                Json::Num(i128::from(self.toom_threshold_bits)),
-            ),
-            ("par_depth", Json::Num(self.par_depth as i128)),
-        ])
+    fn write(&self) -> Json {
+        let mut section = self.clone();
+        let knobs = section.knobs();
+        Json::Obj(
+            knobs
+                .into_iter()
+                .map(|(key, knob)| (key.to_string(), knob.write()))
+                .collect(),
+        )
+    }
+}
+
+/// A non-negative JSON integer that fits `T`.
+fn read_uint<T: TryFrom<i128>>(json: &Json, path: &str) -> Result<T, ConfigError> {
+    json.as_i128()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| {
+            ConfigError::Invalid(format!(
+                "{path} must be an unsigned {}-bit integer",
+                8 * std::mem::size_of::<T>()
+            ))
+        })
+}
+
+impl Knob for u64 {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        read_uint(json, path).map(|v| *self = v)
+    }
+
+    fn write(&self) -> Json {
+        Json::Num(i128::from(*self))
+    }
+}
+
+impl Knob for u32 {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        read_uint(json, path).map(|v| *self = v)
+    }
+
+    fn write(&self) -> Json {
+        Json::Num(i128::from(*self))
+    }
+}
+
+impl Knob for usize {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        read_uint(json, path).map(|v| *self = v)
+    }
+
+    fn write(&self) -> Json {
+        Json::Num(*self as i128)
+    }
+}
+
+impl Knob for bool {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        json.as_bool()
+            .map(|b| *self = b)
+            .ok_or_else(|| ConfigError::Invalid(format!("{path} must be a boolean")))
+    }
+
+    fn write(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+/// `null` is `None`; any other value is read into a fresh default.
+impl<T: Knob + Default> Knob for Option<T> {
+    fn read(&mut self, json: &Json, path: &str) -> Result<(), ConfigError> {
+        *self = match json {
+            Json::Null => None,
+            _ => {
+                let mut value = T::default();
+                value.read(json, path)?;
+                Some(value)
+            }
+        };
+        Ok(())
+    }
+
+    fn write(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Knob::write)
+    }
+}
+
+impl Section for KernelPolicy {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("schoolbook_max_bits", &mut self.schoolbook_max_bits),
+            ("seq_toom_max_bits", &mut self.seq_toom_max_bits),
+            ("ntt_min_bits", &mut self.ntt_min_bits),
+            ("seq_toom_k", &mut self.seq_toom_k),
+            ("par_toom_k", &mut self.par_toom_k),
+            ("toom_threshold_bits", &mut self.toom_threshold_bits),
+            ("par_depth", &mut self.par_depth),
+        ]
+    }
+
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(
+            self.schoolbook_max_bits <= self.seq_toom_max_bits,
+            "schoolbook_max_bits must not exceed seq_toom_max_bits",
+        )?;
+        rule(
+            self.seq_toom_max_bits <= self.ntt_min_bits,
+            "seq_toom_max_bits must not exceed ntt_min_bits",
+        )?;
+        rule(
+            self.seq_toom_k >= 2 && self.par_toom_k >= 2,
+            "toom k parameters must be >= 2",
+        )
     }
 }
 
@@ -698,109 +655,40 @@ impl ServiceConfig {
     /// assert!(ServiceConfig::from_json(r#"{"batch_max": 16}"#).is_err());
     /// ```
     pub fn from_json(text: &str) -> Result<ServiceConfig, ConfigError> {
-        let json = Json::parse(text).map_err(ConfigError::Parse)?;
-        let d = ServiceConfig::default();
-        check_keys(&json, &Json::parse(&d.to_json()).expect("config JSON"), "")?;
-        let shed_after_ms = match json.get("shed_after_ms") {
-            None => d.shed_after_ms,
-            Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                ConfigError::Invalid("shed_after_ms must be an integer or null".to_string())
-            })?),
-        };
-        let kernel_policy = match json.get("kernel_policy") {
-            None => d.kernel_policy.clone(),
-            Some(v) => KernelPolicy::from_json(v)?,
-        };
-        let verify_residues = match json.get("verify_residues") {
-            None => d.verify_residues,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("verify_residues must be a boolean".to_string())
-            })?,
-        };
-        let verify = match json.get("verify") {
-            None => d.verify.clone(),
-            Some(v) => VerifyPolicy::from_json(v)?,
-        };
-        let retry = match json.get("retry") {
-            None => d.retry.clone(),
-            Some(v) => RetryPolicy::from_json(v)?,
-        };
-        let breaker = match json.get("breaker") {
-            None => d.breaker.clone(),
-            Some(v) => BreakerPolicy::from_json(v)?,
-        };
-        let chaos = match json.get("chaos") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(ChaosConfig::from_json(v)?),
-        };
-        let batching = match json.get("batching") {
-            None => d.batching.clone(),
-            Some(v) => BatchingConfig::from_json(v)?,
-        };
-        let tuner = match json.get("tuner") {
-            None => d.tuner.clone(),
-            Some(v) => TunerConfig::from_json(v)?,
-        };
-        let distributed = match json.get("distributed") {
-            None => d.distributed.clone(),
-            Some(v) => DistributedConfig::from_json(v)?,
-        };
-        let cfg = ServiceConfig {
-            workers: field_usize(&json, "workers", d.workers)?,
-            shed_after_ms,
-            plan_cache_capacity: field_usize(&json, "plan_cache_capacity", d.plan_cache_capacity)?,
-            kernel_policy,
-            verify_residues,
-            verify,
-            retry,
-            breaker,
-            chaos,
-            batching,
-            tuner,
-            distributed,
-        };
-        if cfg.workers == 0 {
-            return Err(ConfigError::Invalid("workers must be >= 1".to_string()));
-        }
-        if cfg.plan_cache_capacity == 0 {
-            return Err(ConfigError::Invalid(
-                "plan_cache_capacity must be >= 1".to_string(),
-            ));
-        }
-        Ok(cfg)
+        read_section(&Json::parse(text).map_err(ConfigError::Parse)?)
     }
 
     /// Serialize to compact JSON (round-trips through [`Self::from_json`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        obj([
-            ("workers", Json::Num(self.workers as i128)),
-            (
-                "shed_after_ms",
-                self.shed_after_ms
-                    .map_or(Json::Null, |ms| Json::Num(i128::from(ms))),
-            ),
-            (
-                "plan_cache_capacity",
-                Json::Num(self.plan_cache_capacity as i128),
-            ),
-            ("kernel_policy", self.kernel_policy.to_json_value()),
-            ("verify_residues", Json::Bool(self.verify_residues)),
-            ("verify", self.verify.to_json_value()),
-            ("retry", self.retry.to_json_value()),
-            ("breaker", self.breaker.to_json_value()),
-            (
-                "chaos",
-                self.chaos
-                    .as_ref()
-                    .map_or(Json::Null, ChaosConfig::to_json_value),
-            ),
-            ("batching", self.batching.to_json_value()),
-            ("tuner", self.tuner.to_json_value()),
-            ("distributed", self.distributed.to_json_value()),
-        ])
-        .dump()
+        self.write().dump()
+    }
+}
+
+impl Section for ServiceConfig {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("workers", &mut self.workers),
+            ("shed_after_ms", &mut self.shed_after_ms),
+            ("plan_cache_capacity", &mut self.plan_cache_capacity),
+            ("kernel_policy", &mut self.kernel_policy),
+            ("verify_residues", &mut self.verify_residues),
+            ("verify", &mut self.verify),
+            ("retry", &mut self.retry),
+            ("breaker", &mut self.breaker),
+            ("chaos", &mut self.chaos),
+            ("batching", &mut self.batching),
+            ("tuner", &mut self.tuner),
+            ("distributed", &mut self.distributed),
+        ]
+    }
+
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(self.workers >= 1, "workers must be >= 1")?;
+        rule(
+            self.plan_cache_capacity >= 1,
+            "plan_cache_capacity must be >= 1",
+        )
     }
 }
 
@@ -813,6 +701,140 @@ mod tests {
         let cfg = ServiceConfig::default();
         let again = ServiceConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(cfg, again);
+    }
+
+    /// The exact `GET /v1/config` body of the default service, and of the
+    /// default topology: the wire format must not drift.
+    const DEFAULT_SERVICE_JSON: &str = r#"{"batching":{"max_batch":32,"queue_capacity":1024,"window_us":150},"breaker":{"failure_threshold":5,"open_ms":250},"chaos":null,"distributed":{"bfs_steps":1,"deadline_budget":1,"delay_factor":4,"delay_ranks":0,"enabled":false,"f":1,"fault_seed":0,"faulty_attempts":1,"hard_faults_per_run":0,"heartbeat_period":1,"k":2,"max_bits":4000000,"min_bits":2048,"min_group":2,"recursion_detect":false,"straggler_factor":0},"kernel_policy":{"ntt_min_bits":163840,"par_depth":2,"par_toom_k":3,"schoolbook_max_bits":2048,"seq_toom_k":3,"seq_toom_max_bits":163840,"toom_threshold_bits":24576},"plan_cache_capacity":8,"retry":{"backoff_base_ms":1,"backoff_max_ms":64,"max_retries":3},"shed_after_ms":null,"tuner":{"enabled":true,"interval_ms":500,"min_samples":64,"slowdown_pct":125},"verify":{"breaker_on_mismatch":true,"dual_max_bits":33554432,"dual_per_10k":250,"dual_small_max_bits":16384,"dual_toom_k":3,"sample_seed":0},"verify_residues":true,"workers":4}"#;
+
+    #[test]
+    fn default_wire_format_is_pinned() {
+        assert_eq!(ServiceConfig::default().to_json(), DEFAULT_SERVICE_JSON);
+        let shard = format!(
+            r#"{{"deadline_budget":3,"heartbeat_ms":20,"hot_watermark":32,"idle_watermark":2,"max_failovers":3,"service":{DEFAULT_SERVICE_JSON},"shards":3}}"#
+        );
+        assert_eq!(ShardConfig::default().to_json(), shard);
+    }
+
+    /// A service config in which every knob differs from its default.
+    fn every_knob_set() -> ServiceConfig {
+        use crate::chaos::{CorruptionKind, FaultKind};
+        ServiceConfig {
+            workers: 3,
+            shed_after_ms: Some(17),
+            plan_cache_capacity: 5,
+            kernel_policy: KernelPolicy {
+                schoolbook_max_bits: 1_000,
+                seq_toom_max_bits: 50_000,
+                ntt_min_bits: 300_000,
+                seq_toom_k: 4,
+                par_toom_k: 5,
+                toom_threshold_bits: 12_000,
+                par_depth: 3,
+            },
+            verify_residues: false,
+            verify: VerifyPolicy {
+                dual_per_10k: 2_500,
+                dual_small_max_bits: 1_000,
+                dual_max_bits: 100_000,
+                dual_toom_k: 4,
+                breaker_on_mismatch: false,
+                sample_seed: 7,
+            },
+            retry: RetryPolicy {
+                max_retries: 7,
+                backoff_base_ms: 3,
+                backoff_max_ms: 99,
+            },
+            breaker: BreakerPolicy {
+                failure_threshold: 2,
+                open_ms: 77,
+            },
+            chaos: Some(ChaosConfig {
+                seed: 42,
+                panic_per_10k: 100,
+                straggle_per_10k: 200,
+                corrupt_per_10k: 300,
+                corruption: CorruptionKind::ResidueEvading,
+                straggle_ms: 5,
+                max_faulty_attempts: 2,
+                escalate_panics: true,
+                force: vec![(3, FaultKind::Panic), (9, FaultKind::Straggle)],
+                shard_kill_per_10k: 10,
+                shard_stall_per_10k: 20,
+                stall_rounds: 6,
+                force_shard: vec![(2, 11, FaultKind::ShardStall), (0, 4, FaultKind::ShardKill)],
+            }),
+            batching: BatchingConfig {
+                window_us: 75,
+                max_batch: 8,
+                queue_capacity: 32,
+            },
+            tuner: TunerConfig {
+                enabled: false,
+                interval_ms: 250,
+                min_samples: 10,
+                slowdown_pct: 150,
+            },
+            distributed: DistributedConfig {
+                enabled: true,
+                k: 3,
+                bfs_steps: 2,
+                f: 2,
+                min_group: 3,
+                min_bits: 4_096,
+                max_bits: 65_536,
+                fault_seed: 9,
+                hard_faults_per_run: 2,
+                delay_ranks: 1,
+                delay_factor: 8,
+                faulty_attempts: 2,
+                deadline_budget: 3,
+                straggler_factor: 4,
+                heartbeat_period: 5,
+                recursion_detect: true,
+            },
+        }
+    }
+
+    /// Assert that every leaf of `set` differs from the same leaf of
+    /// `default` (both documents have the same keys).
+    fn assert_every_leaf_differs(set: &Json, default: &Json, path: &str) {
+        match (set, default) {
+            (Json::Obj(s), Json::Obj(d)) => {
+                assert_eq!(
+                    s.keys().collect::<Vec<_>>(),
+                    d.keys().collect::<Vec<_>>(),
+                    "{path}"
+                );
+                for (key, value) in s {
+                    assert_every_leaf_differs(value, &d[key], &format!("{path}.{key}"));
+                }
+            }
+            _ => assert_ne!(set, default, "{path} is left at its default"),
+        }
+    }
+
+    #[test]
+    fn every_knob_round_trips_in_a_pinned_wire_format() {
+        let cfg = every_knob_set();
+        let text = cfg.to_json();
+        assert_eq!(
+            text,
+            r#"{"batching":{"max_batch":8,"queue_capacity":32,"window_us":75},"breaker":{"failure_threshold":2,"open_ms":77},"chaos":{"corrupt_per_10k":300,"corruption":"residue_evading","escalate_panics":true,"force":[{"index":3,"kind":"panic"},{"index":9,"kind":"straggle"}],"force_shard":[{"kind":"shard_stall","round":11,"shard":2},{"kind":"shard_kill","round":4,"shard":0}],"max_faulty_attempts":2,"panic_per_10k":100,"seed":42,"shard_kill_per_10k":10,"shard_stall_per_10k":20,"stall_rounds":6,"straggle_ms":5,"straggle_per_10k":200},"distributed":{"bfs_steps":2,"deadline_budget":3,"delay_factor":8,"delay_ranks":1,"enabled":true,"f":2,"fault_seed":9,"faulty_attempts":2,"hard_faults_per_run":2,"heartbeat_period":5,"k":3,"max_bits":65536,"min_bits":4096,"min_group":3,"recursion_detect":true,"straggler_factor":4},"kernel_policy":{"ntt_min_bits":300000,"par_depth":3,"par_toom_k":5,"schoolbook_max_bits":1000,"seq_toom_k":4,"seq_toom_max_bits":50000,"toom_threshold_bits":12000},"plan_cache_capacity":5,"retry":{"backoff_base_ms":3,"backoff_max_ms":99,"max_retries":7},"shed_after_ms":17,"tuner":{"enabled":false,"interval_ms":250,"min_samples":10,"slowdown_pct":150},"verify":{"breaker_on_mismatch":false,"dual_max_bits":100000,"dual_per_10k":2500,"dual_small_max_bits":1000,"dual_toom_k":4,"sample_seed":7},"verify_residues":false,"workers":3}"#
+        );
+        assert_eq!(ServiceConfig::from_json(&text).unwrap(), cfg);
+        // No knob is left at its default (a present chaos plan is
+        // compared against the default plan).
+        let default = ServiceConfig {
+            chaos: Some(ChaosConfig::default()),
+            ..ServiceConfig::default()
+        };
+        assert_every_leaf_differs(
+            &Json::parse(&text).unwrap(),
+            &Json::parse(&default.to_json()).unwrap(),
+            "config",
+        );
     }
 
     #[test]
@@ -1083,5 +1105,18 @@ mod tests {
         let cfg =
             ServiceConfig::from_json(r#"{"kernel_policy": {"ntt_min_bits": 16000000}}"#).unwrap();
         assert_eq!(cfg.kernel_policy.ntt_min_bits, 16_000_000);
+        // A mistyped value inside a section names its full path.
+        for (bad, path) in [
+            (r#"{"distributed": {"k": -1}}"#, "distributed.k"),
+            (
+                r#"{"verify": {"dual_per_10k": "all"}}"#,
+                "verify.dual_per_10k",
+            ),
+        ] {
+            match ServiceConfig::from_json(bad) {
+                Err(ConfigError::Invalid(msg)) => assert!(msg.contains(path), "{bad}: {msg}"),
+                other => panic!("{bad} must be rejected, got {other:?}"),
+            }
+        }
     }
 }

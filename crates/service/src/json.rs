@@ -9,6 +9,14 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a request body of a few
+/// hundred kilobytes of `[` would overflow a handler thread's stack and
+/// abort the process. The deepest document the workspace itself writes —
+/// a topology config whose chaos plan has a `force` list — nests 5
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value (numbers are kept as `i128` — wide enough for any
 /// config field or counter we serialize).
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +51,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -160,6 +169,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -200,8 +211,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -209,6 +219,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// An array or object, one level deeper, up to [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -378,6 +403,17 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // 1 MiB of `[` is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! operand pairs plus an optional deadline — as ONE message on the bounded
 //! submission queue (`batching.queue_capacity` messages; beyond it,
 //! [`SubmitError::QueueFull`]). A single request is a job of one pair.
-//! The dispatcher (see [`crate::dispatcher`]) is the queue's only
-//! consumer: it collects a round, groups it by `(kernel, operand size
+//! The dispatcher (the crate-private `dispatcher` module) is the queue's
+//! only consumer: it collects a round, groups it by `(kernel, operand size
 //! class)`, and hands every group to the `workers` threads over one shared
 //! channel bounded by `workers`, so while every worker is busy the
 //! dispatcher stops draining and the submission queue fills. A worker
@@ -18,7 +18,7 @@
 //! Carrying a job unexploded is the submit-side half of cross-request
 //! batching: one channel lock, one timestamp, one dispatcher wake-up and
 //! one result table for `n` requests. Execution reads the *live* kernel
-//! policy, which the adaptive tuner (see [`crate::tuner`]) re-derives
+//! policy, which the adaptive tuner (the crate-private `tuner` module) re-derives
 //! from the latency histogram at runtime. Shutdown drops the sender; the
 //! dispatcher and the workers drain what was accepted, then exit.
 

@@ -14,10 +14,9 @@
 //! same breaker, so a kernel that keeps miscalculating trips it too.
 
 use crate::chaos::{ChaosConfig, FaultKind, INJECTED_PANIC_MSG};
-use crate::config::{check_keys, ConfigError};
+use crate::config::{rule, ConfigError, Knobs, Section};
 use crate::distributed::DistributedBackend;
 use crate::error::MulError;
-use crate::json::{obj, Json};
 use crate::kernel::Kernel;
 use crate::metrics::Metrics;
 use crate::plan_cache::PlanCache;
@@ -71,45 +70,33 @@ impl Default for BreakerPolicy {
     }
 }
 
-fn policy_u64(json: &Json, prefix: &str, key: &str, default: u64) -> Result<u64, ConfigError> {
-    match json.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ConfigError::Invalid(format!("{prefix}.{key} must be a non-negative integer"))
-        }),
+impl Section for RetryPolicy {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("max_retries", &mut self.max_retries),
+            ("backoff_base_ms", &mut self.backoff_base_ms),
+            ("backoff_max_ms", &mut self.backoff_max_ms),
+        ]
     }
 }
 
-fn policy_u32(json: &Json, prefix: &str, key: &str, default: u32) -> Result<u32, ConfigError> {
-    policy_u64(json, prefix, key, u64::from(default)).and_then(|v| {
-        u32::try_from(v).map_err(|_| ConfigError::Invalid(format!("{prefix}.{key} out of range")))
-    })
+impl Section for BreakerPolicy {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("failure_threshold", &mut self.failure_threshold),
+            ("open_ms", &mut self.open_ms),
+        ]
+    }
+
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(
+            self.failure_threshold >= 1,
+            "breaker.failure_threshold must be >= 1",
+        )
+    }
 }
 
 impl RetryPolicy {
-    /// Read a retry policy from a parsed JSON object; absent fields keep
-    /// their defaults, unknown ones are rejected.
-    pub fn from_json(json: &Json) -> Result<RetryPolicy, ConfigError> {
-        let d = RetryPolicy::default();
-        check_keys(json, &d.to_json_value(), "retry")?;
-        Ok(RetryPolicy {
-            max_retries: policy_u32(json, "retry", "max_retries", d.max_retries)?,
-            backoff_base_ms: policy_u64(json, "retry", "backoff_base_ms", d.backoff_base_ms)?,
-            backoff_max_ms: policy_u64(json, "retry", "backoff_max_ms", d.backoff_max_ms)?,
-        })
-    }
-
-    pub(crate) fn to_json_value(&self) -> Json {
-        obj([
-            ("max_retries", Json::Num(i128::from(self.max_retries))),
-            (
-                "backoff_base_ms",
-                Json::Num(i128::from(self.backoff_base_ms)),
-            ),
-            ("backoff_max_ms", Json::Num(i128::from(self.backoff_max_ms))),
-        ])
-    }
-
     /// Backoff before retry `attempt` of `request`: exponential in the
     /// attempt with deterministic half-to-full jitter drawn from the
     /// request index (decorrelates retry storms, keeps tests exact).
@@ -126,40 +113,6 @@ impl RetryPolicy {
             0xb0ff ^ request.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(attempt),
         );
         Duration::from_millis(exp / 2 + rng.random_range(0..exp / 2 + 1))
-    }
-}
-
-impl BreakerPolicy {
-    /// Read a breaker policy from a parsed JSON object; absent fields
-    /// keep their defaults, unknown ones are rejected.
-    pub fn from_json(json: &Json) -> Result<BreakerPolicy, ConfigError> {
-        let d = BreakerPolicy::default();
-        check_keys(json, &d.to_json_value(), "breaker")?;
-        let policy = BreakerPolicy {
-            failure_threshold: policy_u32(
-                json,
-                "breaker",
-                "failure_threshold",
-                d.failure_threshold,
-            )?,
-            open_ms: policy_u64(json, "breaker", "open_ms", d.open_ms)?,
-        };
-        if policy.failure_threshold == 0 {
-            return Err(ConfigError::Invalid(
-                "breaker.failure_threshold must be >= 1".to_string(),
-            ));
-        }
-        Ok(policy)
-    }
-
-    pub(crate) fn to_json_value(&self) -> Json {
-        obj([
-            (
-                "failure_threshold",
-                Json::Num(i128::from(self.failure_threshold)),
-            ),
-            ("open_ms", Json::Num(i128::from(self.open_ms))),
-        ])
     }
 }
 
@@ -700,7 +653,8 @@ fn payload_is_injected(payload: &(dyn std::any::Any + Send)) -> bool {
 mod tests {
     use super::*;
     use crate::chaos::install_quiet_panic_hook;
-    use crate::config::KernelPolicy;
+    use crate::config::{read_section, KernelPolicy, Knob};
+    use crate::json::Json;
 
     fn supervisor_with(chaos: Option<ChaosConfig>, verify: bool) -> Supervisor {
         Supervisor::new(
@@ -1271,17 +1225,17 @@ mod tests {
             backoff_base_ms: 3,
             backoff_max_ms: 99,
         };
-        let parsed = RetryPolicy::from_json(&Json::parse(&retry.to_json_value().dump()).unwrap());
+        let parsed = read_section::<RetryPolicy>(&Json::parse(&retry.write().dump()).unwrap());
         assert_eq!(parsed.unwrap(), retry);
         let breaker = BreakerPolicy {
             failure_threshold: 2,
             open_ms: 77,
         };
-        let parsed =
-            BreakerPolicy::from_json(&Json::parse(&breaker.to_json_value().dump()).unwrap());
+        let parsed = read_section::<BreakerPolicy>(&Json::parse(&breaker.write().dump()).unwrap());
         assert_eq!(parsed.unwrap(), breaker);
-        assert!(
-            BreakerPolicy::from_json(&Json::parse(r#"{"failure_threshold": 0}"#).unwrap()).is_err()
-        );
+        assert!(read_section::<BreakerPolicy>(
+            &Json::parse(r#"{"failure_threshold": 0}"#).unwrap()
+        )
+        .is_err());
     }
 }

@@ -13,16 +13,16 @@
 //! (2-of-3 majority). Confirmed corruptions charge the per-kernel circuit
 //! breaker, so repeated offenders trip it exactly like crash faults.
 //!
-//! [`VerifyPolicy`] is the JSON-loadable knob set; the ladder itself lives
-//! in [`crate::supervisor`], metered per rung in
+//! [`VerifyPolicy`] is the knob set (the config's `verify` section); the
+//! ladder itself lives in [`crate::supervisor`], metered per rung in
 //! [`crate::metrics::VerifySnapshot`].
 
-use crate::config::{check_keys, field_u32, field_u64, field_usize, ConfigError};
-use crate::json::{obj, Json};
+use crate::config::{rule, ConfigError, Knobs, Section};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// JSON-loadable policy for the dual-algorithm verification rung.
+/// Policy for the dual-algorithm verification rung (the config's
+/// `verify` section).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyPolicy {
     /// Dual-check sampling rate per 10 000 requests (0 disables the rung,
@@ -89,65 +89,38 @@ impl VerifyPolicy {
         let draw = rng.random_range(0..10_000) as u32;
         draw < self.dual_per_10k
     }
+}
 
-    /// Read a policy from a parsed JSON object; absent fields keep their
-    /// defaults.
-    pub fn from_json(json: &Json) -> Result<VerifyPolicy, ConfigError> {
-        let d = VerifyPolicy::default();
-        check_keys(json, &d.to_json_value(), "verify")?;
-        let breaker_on_mismatch = match json.get("breaker_on_mismatch") {
-            None => d.breaker_on_mismatch,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ConfigError::Invalid("verify.breaker_on_mismatch must be a boolean".to_string())
-            })?,
-        };
-        let policy = VerifyPolicy {
-            dual_per_10k: field_u32(json, "dual_per_10k", d.dual_per_10k)?,
-            dual_small_max_bits: field_u64(json, "dual_small_max_bits", d.dual_small_max_bits)?,
-            dual_max_bits: field_u64(json, "dual_max_bits", d.dual_max_bits)?,
-            dual_toom_k: field_usize(json, "dual_toom_k", d.dual_toom_k)?,
-            breaker_on_mismatch,
-            sample_seed: field_u64(json, "sample_seed", d.sample_seed)?,
-        };
-        if policy.dual_per_10k > 10_000 {
-            return Err(ConfigError::Invalid(
-                "verify.dual_per_10k must be at most 10000".to_string(),
-            ));
-        }
-        if policy.dual_toom_k < 2 {
-            return Err(ConfigError::Invalid(
-                "verify.dual_toom_k must be >= 2".to_string(),
-            ));
-        }
-        if policy.dual_small_max_bits > policy.dual_max_bits {
-            return Err(ConfigError::Invalid(
-                "verify.dual_small_max_bits must not exceed dual_max_bits".to_string(),
-            ));
-        }
-        Ok(policy)
+impl Section for VerifyPolicy {
+    fn knobs(&mut self) -> Knobs<'_> {
+        vec![
+            ("dual_per_10k", &mut self.dual_per_10k),
+            ("dual_small_max_bits", &mut self.dual_small_max_bits),
+            ("dual_max_bits", &mut self.dual_max_bits),
+            ("dual_toom_k", &mut self.dual_toom_k),
+            ("breaker_on_mismatch", &mut self.breaker_on_mismatch),
+            ("sample_seed", &mut self.sample_seed),
+        ]
     }
 
-    pub(crate) fn to_json_value(&self) -> Json {
-        obj([
-            ("dual_per_10k", Json::Num(i128::from(self.dual_per_10k))),
-            (
-                "dual_small_max_bits",
-                Json::Num(i128::from(self.dual_small_max_bits)),
-            ),
-            ("dual_max_bits", Json::Num(i128::from(self.dual_max_bits))),
-            (
-                "dual_toom_k",
-                Json::Num(i128::try_from(self.dual_toom_k).unwrap_or(i128::MAX)),
-            ),
-            ("breaker_on_mismatch", Json::Bool(self.breaker_on_mismatch)),
-            ("sample_seed", Json::Num(i128::from(self.sample_seed))),
-        ])
+    fn check(&self) -> Result<(), ConfigError> {
+        rule(
+            self.dual_per_10k <= 10_000,
+            "verify.dual_per_10k must be at most 10000",
+        )?;
+        rule(self.dual_toom_k >= 2, "verify.dual_toom_k must be >= 2")?;
+        rule(
+            self.dual_small_max_bits <= self.dual_max_bits,
+            "verify.dual_small_max_bits must not exceed dual_max_bits",
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{read_section, Knob};
+    use crate::json::Json;
 
     #[test]
     fn sampling_is_deterministic_and_tracks_the_rate() {
@@ -196,11 +169,11 @@ mod tests {
             breaker_on_mismatch: false,
             sample_seed: 7,
         };
-        let text = policy.to_json_value().dump();
-        let parsed = VerifyPolicy::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = policy.write().dump();
+        let parsed = read_section::<VerifyPolicy>(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, policy);
         // Absent fields keep defaults.
-        let empty = VerifyPolicy::from_json(&Json::parse("{}").unwrap()).unwrap();
+        let empty = read_section::<VerifyPolicy>(&Json::parse("{}").unwrap()).unwrap();
         assert_eq!(empty, VerifyPolicy::default());
     }
 
@@ -214,7 +187,7 @@ mod tests {
             r#"{"dual_per_10k": -3}"#,
         ] {
             assert!(
-                VerifyPolicy::from_json(&Json::parse(bad).unwrap()).is_err(),
+                read_section::<VerifyPolicy>(&Json::parse(bad).unwrap()).is_err(),
                 "{bad}"
             );
         }

@@ -10,6 +10,11 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc -D warnings =="
+# Every doc link must resolve to a public item and every code block must
+# parse, so a doc comment cannot keep pointing at a removed function.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== cargo test =="
 cargo test --workspace -q
 
